@@ -20,6 +20,7 @@ from .errors import (
 from .lagrangian import (
     LagrangianSolution,
     SeriesConfig,
+    cycle_sums,
     g_for_threshold,
     g_wait,
     optimal_threshold,
@@ -36,6 +37,7 @@ from .model import (
     SourceModel,
     State,
     gamma,
+    gamma_arrays,
     p_success,
     transition_dist,
     validate_boundedness,

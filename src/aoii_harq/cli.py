@@ -217,10 +217,8 @@ def _checks_for_config(cfg: RunConfig) -> list[dict]:
     add("kernel-normalization", worst_norm <= 1e-12, worst_norm, 1e-12)
     add("kernel-reset-reachability", worst_reset > 0.0, worst_reset, 0.0, "P(next=(0,0)) must be positive")
 
-    gsum = max(
-        model.gamma(source, channel, r).gamma1 + model.gamma(source, channel, r).gamma2
-        for r in range(65)
-    )
+    g1, g2 = model.gamma_arrays(source, channel, 65)
+    gsum = float((g1 + g2).max())
     add("gamma-sum-below-one", gsum < 1.0, gsum, 1.0)
 
     sigmas, _ = lagrangian.sigma_series(source, channel, series_cfg)

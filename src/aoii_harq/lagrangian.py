@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, ThresholdSearchError, TruncationError
-from .model import gamma
+from .model import gamma_arrays
 
 # Strict-inequality tie break for the threshold condition: margins this close
 # to zero count as "not yet optimal" so floating-point noise cannot flip the
@@ -28,6 +28,8 @@ from .model import gamma
 _TIE_TOL = 1e-12
 
 _SUPPORT_FLOOR = 1e-300  # drop underflowed burst-length mass
+
+N0_CEILING = 100_000  # largest threshold a search may return
 
 
 @dataclass(frozen=True)
@@ -83,10 +85,9 @@ class SigmaSeries:
     def _ensure_gammas(self, n: int) -> None:
         if self._g1.size >= n:
             return
-        new = max(n, 2 * self._g1.size, 64)
-        pairs = [gamma(self._source, self._channel, r) for r in range(self._g1.size, new)]
-        self._g1 = np.concatenate([self._g1, [p.gamma1 for p in pairs]])
-        self._g2 = np.concatenate([self._g2, [p.gamma2 for p in pairs]])
+        self._g1, self._g2 = gamma_arrays(
+            self._source, self._channel, max(n, 2 * self._g1.size, 64)
+        )
 
     @property
     def depth(self) -> int:
@@ -95,6 +96,12 @@ class SigmaSeries:
     @property
     def last(self) -> float:
         return self._sigma[-1]
+
+    @property
+    def mass(self) -> np.ndarray:
+        """Row 0 of P^depth: entry r is the burst weight m(depth, r), trailing
+        underflowed entries dropped."""
+        return self._v
 
     def step(self) -> float:
         if self.depth >= self._cfg.l_cap:
@@ -153,6 +160,43 @@ def sigma_series(source, channel, cfg: SeriesConfig = SeriesConfig()) -> tuple[n
     return series.values()[: depth + 1], depth
 
 
+def cycle_sums(
+    n0: int,
+    source,
+    channel,
+    penalty,
+    cfg: SeriesConfig = SeriesConfig(),
+    *,
+    series: SigmaSeries | None = None,
+) -> tuple[float, float, float]:
+    """Expected slots L, transmissions T and penalty C per renewal cycle of the
+    threshold-n0 policy (a cycle starts in (0, 0)).  With P = (1-m)^(n0-1):
+
+        L = 1/(1-a) + sum_{i<n0-1} (1-m)^i + P sum_l sigma_l
+        T = P sum_l sigma_l
+        C = f(0)/(1-a) + sum_{i<n0-1} (1-m)^i f(i+1) + P sum_l f(n0+l) sigma_l
+
+    By renewal reward the rate is T/L and the average priced cost (C+lam T)/L.
+    """
+    if n0 < 1:
+        raise ValueError(f"threshold must be >= 1, got {n0}")
+    if series is None:
+        series = SigmaSeries(source, channel, cfg)
+    sig_sum, weighted, _ = series.sums_for(n0, penalty)
+    alpha, mu = source.alpha, source.mu
+    omm = 1.0 - mu
+    if n0 > 1:
+        i = np.arange(n0 - 1, dtype=float)
+        head_f = float(omm**i @ penalty.evaluate(i + 1.0))
+    else:
+        head_f = 0.0
+    pref = omm ** (n0 - 1)
+    transmissions = pref * sig_sum
+    length = 1.0 / (1.0 - alpha) + (1.0 - pref) / mu + transmissions
+    cost = penalty(0) / (1.0 - alpha) + head_f + pref * weighted
+    return length, transmissions, cost
+
+
 def g_for_threshold(
     n0: int,
     lam: float,
@@ -163,36 +207,16 @@ def g_for_threshold(
     *,
     series: SigmaSeries | None = None,
 ) -> float:
-    """Average priced cost of the threshold-n0 policy.
-
-        g = [ f(0)/(1-a) + sum_{i<n0-1} (1-m)^i f(i+1)
-              + (1-m)^(n0-1) sum_l (f(n0+l) + lam) sigma_l ]
-          / [ 1/(1-a) + sum_{i<n0-1} (1-m)^i + (1-m)^(n0-1) sum_l sigma_l ]
+    """Average priced cost (C + lam T)/L of the threshold-n0 policy, from its
+    cycle sums.
 
     Valid for any n0 >= 1 (policy evaluation, not only the optimizer); lam is
     charged once per transmit slot.
     """
-    if n0 < 1:
-        raise ValueError(f"threshold must be >= 1, got {n0}")
     if lam < 0.0:
         raise ValueError(f"multiplier must be nonnegative, got {lam}")
-    if series is None:
-        series = SigmaSeries(source, channel, cfg)
-    sig_sum, weighted, _ = series.sums_for(n0, penalty)
-    alpha, mu = source.alpha, source.mu
-    omm = 1.0 - mu
-    if n0 > 1:
-        i = np.arange(n0 - 1, dtype=float)
-        geo = omm**i
-        head_f = float(geo @ penalty.evaluate(i + 1.0))
-        head_1 = (1.0 - omm ** (n0 - 1)) / mu
-    else:
-        head_f = 0.0
-        head_1 = 0.0
-    pref = omm ** (n0 - 1)
-    num = penalty(0) / (1.0 - alpha) + head_f + pref * (weighted + lam * sig_sum)
-    den = 1.0 / (1.0 - alpha) + head_1 + pref * sig_sum
-    return num / den
+    length, transmissions, cost = cycle_sums(n0, source, channel, penalty, cfg, series=series)
+    return (cost + lam * transmissions) / length
 
 
 def value_at(
@@ -244,7 +268,7 @@ def optimal_threshold(
     channel,
     penalty,
     cfg: SeriesConfig = SeriesConfig(),
-    n0_ceiling: int = 100_000,
+    n0_ceiling: int = N0_CEILING,
 ) -> int | None:
     """Least n0 >= 1 whose margin is strictly positive, or None (never transmit).
 

@@ -221,6 +221,22 @@ def gamma(source: SourceModel, channel, r: int) -> GammaPair:
     return GammaPair(source.alpha * q, 1.0 - source.alpha - source.mu * q)
 
 
+def gamma_arrays(source: SourceModel, channel, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """gamma1(r) and gamma2(r) for r < n as arrays, checked as GammaPair checks
+    each pair."""
+    q = 1.0 - np.array([channel.success_probability(r) for r in range(n)], dtype=float)
+    g1 = source.alpha * q
+    g2 = 1.0 - source.alpha - source.mu * q
+    bad = np.nonzero((g1 < 0.0) | (g2 < 0.0) | (g1 + g2 >= 1.0))[0]
+    if bad.size:
+        r = int(bad[0])
+        raise ValueError(
+            f"gamma coefficients at r={r} must be nonnegative and sum below 1, "
+            f"got gamma1={g1[r]!r}, gamma2={g2[r]!r}"
+        )
+    return g1, g2
+
+
 def transition_dist(state: State, action: str, source: SourceModel, channel) -> list[tuple[State, float]]:
     """Exact support and probabilities of the next state.
 

@@ -1,13 +1,15 @@
 """End-to-end solver for the rate-constrained AoII minimization problem.
 
-The multiplier lambda prices each transmission; the priced problem is solved
-in closed form by the lagrangian module, its achieved rate C(lambda) is exact
-via the rate module, and C is non-increasing in lambda (it depends on lambda
-only through the integer threshold, so it is piecewise constant and the
-binary search terminates at a jump).  When no pure threshold meets the budget
-exactly, the final policy randomizes per slot between the two adjacent
-thresholds; the randomization weight is tuned on the exact mixed chain so the
-achieved rate equals the budget.
+A threshold policy's cycle sums (L, T, C) give its rate T/L and its cost
+(C + lam T)/L at any transmission price lam; all of them come from one sigma
+series.  The rate falls strictly as the threshold grows, so n_high, the
+least threshold at or above the unconstrained optimum that meets the budget,
+is found by bracketing and binary search on the integer.  When n_high alone
+undershoots the budget, the policy randomizes per slot between n_low =
+n_high - 1 and n_high (Beutler & Ross, J. Math. Anal. Appl. 1985): each
+renewal cycle is then a pure cycle of one of the two, so the cycle sums mix
+linearly and the weight that meets the budget solves one linear equation.
+The multiplier lambda* is the price at which the two thresholds tie.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from scipy.optimize import brentq
+import scipy  # noqa: F401  (benchmark workers report the loaded scipy version)
 
 from .errors import BoundednessError, SolverError, ThresholdSearchError
-from .lagrangian import SeriesConfig, g_for_threshold, g_wait, optimal_threshold
+from .lagrangian import N0_CEILING, SeriesConfig, SigmaSeries, cycle_sums, g_wait, optimal_threshold
 from .model import validate_boundedness
 from .rate import achieved_rate, mixed_chain_analysis
 from .sim import FixedThreshold, MixedThreshold, NeverTransmit
@@ -28,6 +30,7 @@ REGIME_PURE_THRESHOLD = "pure-threshold"
 REGIME_MIXED = "mixed"
 
 _MONOTONE_SLACK = 1e-12
+_CERTIFICATE_STEP = 1e-7  # relative price offset on each side of lambda*
 
 
 @dataclass(frozen=True)
@@ -76,9 +79,16 @@ def _check_trace(trace) -> None:
     for (l0, n0, c0), (l1, n1, c1) in zip(by_lam, by_lam[1:]):
         if n1 < n0 or c1 > c0 + _MONOTONE_SLACK:
             raise SolverError(
-                "monotonicity violated along the multiplier search: "
+                "monotonicity violated along the threshold search: "
                 f"lambda {l0}->{l1} gave n0 {n0}->{n1}, rate {c0}->{c1}"
             )
+
+
+def _tie_price(low, high) -> float:
+    """Price at which two thresholds with cycle sums (L, T, C) cost the same:
+    (C_h + lam T_h)/L_h = (C_l + lam T_l)/L_l."""
+    (len_l, tx_l, cost_l), (len_h, tx_h, cost_h) = low, high
+    return (cost_h * len_l - cost_l * len_h) / (tx_l * len_h - tx_h * len_l)
 
 
 def solve_cmdp(
@@ -93,15 +103,23 @@ def solve_cmdp(
     """Minimize the average AoII penalty subject to a long-run transmission
     rate of at most R.
 
-    The multiplier search brackets [0, lambda_hi] by doubling until the rate
-    is feasible, then bisects to width lambda_tol and returns the feasible
-    endpoint (the smallest bracketed multiplier whose threshold meets the
-    budget).  Any budget R > 0 is feasible since waiting never transmits.
+    Any budget R > 0 is feasible since waiting never transmits.  No
+    multiplier is searched for, so lambda_tol is checked but unused; tail_tol
+    is the sigma cutoff of achieved_rate and mixed_chain_analysis, which
+    report the rates and the mixed regime's predicted values.
+
+    The solution is certified: in the mixed regime the price-optimal
+    threshold just below and just above lambda* must be n_low and n_high.
+    diagnostics["lambda_trace"] holds one (lambda, n0, rate) entry per
+    threshold evaluated, lambda being the price at which n0 ties with n0 - 1
+    (0 for the unconstrained threshold).
     """
     if not 0.0 < R <= 1.0:
         raise ValueError(f"rate budget must lie in (0, 1], got {R}")
     if not lambda_tol > 0.0:
         raise ValueError(f"lambda_tol must be positive, got {lambda_tol}")
+    if not tail_tol > 0.0:
+        raise ValueError(f"tail_tol must be positive, got {tail_tol}")
     if not validate_boundedness(source, channel, penalty):
         raise BoundednessError(
             "the boundedness certificate failed: the average AoII of the "
@@ -122,102 +140,84 @@ def solve_cmdp(
             diagnostics={"lambda_trace": (), "lambda_iterations": 0},
         )
 
-    trace: list[tuple[float, int, float]] = []
+    series = SigmaSeries(source, channel, cfg)
+    sums: dict[int, tuple[float, float, float]] = {}
 
-    def evaluate(lam: float) -> tuple[int, float]:
-        n0 = optimal_threshold(lam, source, channel, penalty, cfg)
-        rate = achieved_rate(n0, source, channel, tail_tol).rate
-        trace.append((lam, n0, rate))
-        return n0, rate
+    def cycle(n0: int) -> tuple[float, float, float]:
+        if n0 not in sums:
+            sums[n0] = cycle_sums(n0, source, channel, penalty, cfg, series=series)
+        return sums[n0]
+
+    def rate(n0: int) -> float:
+        length, transmissions, _ = cycle(n0)
+        return transmissions / length
 
     def diagnostics() -> dict:
-        return {
-            "lambda_trace": tuple(trace),
-            "lambda_iterations": len(trace),
-        }
+        return {"lambda_trace": tuple(trace), "lambda_iterations": len(trace)}
 
-    n0_zero, rate_zero = evaluate(0.0)
-    if rate_zero <= R:
-        aoii = g_for_threshold(n0_zero, 0.0, source, channel, penalty, cfg)
+    n_zero = optimal_threshold(0.0, source, channel, penalty, cfg)
+    trace = [(0.0, n_zero, rate(n_zero))]
+    if rate(n_zero) <= R:
+        length, _, cost = cycle(n_zero)
+        rate_zero = achieved_rate(n_zero, source, channel, tail_tol).rate
         return CmdpSolution(
             regime=REGIME_PURE_THRESHOLD,
             lambda_star=0.0,
-            n_high=n0_zero,
+            n_high=n_zero,
             n_low=None,
             rho_high=None,
             rate_high=rate_zero,
             rate_low=None,
             predicted_rate=rate_zero,
-            predicted_aoii=aoii,
+            predicted_aoii=cost / length,
             diagnostics=diagnostics(),
         )
 
-    lo = 0.0
-    hi = 1.0
-    n0_hi, rate_hi = evaluate(hi)
-    doublings = 0
-    while rate_hi > R:
-        doublings += 1
-        if doublings > 64:
-            raise ThresholdSearchError("multiplier bracket exceeded 64 doublings")
-        lo, hi = hi, 2.0 * hi
-        n0_hi, rate_hi = evaluate(hi)
-    while hi - lo > lambda_tol:
-        mid = 0.5 * (lo + hi)
-        n0_mid, rate_mid = evaluate(mid)
-        if rate_mid <= R:
-            hi, n0_hi, rate_hi = mid, n0_mid, rate_mid
+    def feasible(n0: int) -> bool:
+        trace.append((_tie_price(cycle(n0 - 1), cycle(n0)), n0, rate(n0)))
+        return rate(n0) <= R
+
+    # the rate falls strictly in n0: bracket the least feasible threshold
+    # above n_zero by doubling the step, then bisect the integers
+    lo, hi = n_zero, n_zero + 1
+    while not feasible(hi):
+        if hi >= N0_CEILING:
+            raise ThresholdSearchError(f"no threshold up to {N0_CEILING} meets the budget {R}")
+        lo, hi = hi, min(2 * hi - n_zero, N0_CEILING)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if feasible(mid):
+            hi = mid
         else:
             lo = mid
     _check_trace(trace)
 
-    lambda_star = hi
-    n_high, rate_high = n0_hi, rate_hi
-    if n_high == 1:
-        # cannot mix below the smallest threshold; the budget is already met
-        aoii = g_for_threshold(n_high, 0.0, source, channel, penalty, cfg)
-        return CmdpSolution(
-            REGIME_PURE_THRESHOLD, lambda_star, n_high, None, None,
-            rate_high, None, rate_high, aoii, diagnostics(),
-        )
-    n_low = n_high - 1
-    rate_low = achieved_rate(n_low, source, channel, tail_tol).rate
-    if rate_low <= R:
-        # float-degenerate jump: the smaller threshold is already feasible
-        aoii = g_for_threshold(n_low, 0.0, source, channel, penalty, cfg)
-        return CmdpSolution(
-            REGIME_PURE_THRESHOLD, lambda_star, n_low, None, None,
-            rate_low, None, rate_low, aoii, diagnostics(),
-        )
-
-    # The per-slot randomized chain's rate is a Moebius function of the
-    # transmit probability at AoII = n_low, not the linear mixture of the two
-    # pure rates, so the weight is root-solved on the exact chain.  The linear
-    # mixing identity only seeds the bracket.
-    def rate_gap(rho: float) -> float:
-        return mixed_chain_analysis(n_low, n_high, rho, source, channel, penalty, tail_tol)[0] - R
-
-    gap_low, gap_high = rate_gap(0.0), rate_gap(1.0)
-    if abs(gap_high) < 1e-15:
-        rho_high = 1.0
-    elif abs(gap_low) < 1e-15:
-        rho_high = 0.0
-    else:
-        rho_high = float(brentq(rate_gap, 0.0, 1.0, xtol=1e-14, rtol=8.9e-16))
+    n_high, n_low = hi, hi - 1
+    lambda_star = _tie_price(cycle(n_low), cycle(n_high))
+    for lam, expected in ((lambda_star * (1.0 - _CERTIFICATE_STEP), n_low),
+                          (lambda_star * (1.0 + _CERTIFICATE_STEP), n_high)):
+        n0 = optimal_threshold(lam, source, channel, penalty, cfg)
+        if n0 != expected:
+            raise SolverError(
+                f"certificate failed: the optimal threshold at lambda={lam!r} is {n0}, "
+                f"expected {expected} around lambda*={lambda_star!r}"
+            )
+    # budget excess e = T - R L of each threshold; the mixture's is linear in rho
+    excess_low = cycle(n_low)[1] - R * cycle(n_low)[0]
+    excess_high = cycle(n_high)[1] - R * cycle(n_high)[0]
+    rho_high = excess_low / (excess_low - excess_high)
     predicted_rate, predicted_aoii = mixed_chain_analysis(
         n_low, n_high, rho_high, source, channel, penalty, tail_tol
     )
-    diag = diagnostics()
-    diag["rho_linear_seed"] = (rate_low - R) / (rate_low - rate_high)
     return CmdpSolution(
         regime=REGIME_MIXED,
         lambda_star=lambda_star,
         n_high=n_high,
         n_low=n_low,
         rho_high=rho_high,
-        rate_high=rate_high,
-        rate_low=rate_low,
+        rate_high=achieved_rate(n_high, source, channel, tail_tol).rate,
+        rate_low=achieved_rate(n_low, source, channel, tail_tol).rate,
         predicted_rate=predicted_rate,
         predicted_aoii=predicted_aoii,
-        diagnostics=diag,
+        diagnostics=diagnostics(),
     )

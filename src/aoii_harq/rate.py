@@ -1,40 +1,34 @@
-"""Exact transmission rate and stationary distribution of threshold policies.
+"""Exact transmission rate and stationary law of threshold policies, and the
+per-slot randomized two-threshold policy.
 
-The threshold-n0 chain regenerates at (0, 0).  Its stationary distribution
-factorizes through the multipliers m(h, r) that trace the state (n0+h, r)
-back to (n0, 0):
+The threshold-n0 chain regenerates at (0, 0).  Its stationary law factorizes
+through the burst weights m(h, r) = P^h[0, r] of the lagrangian module's
+burst matrix, which trace the state (n0+h, r) back to (n0, 0):
 
-    m(h, r) = m(h-r, 0) * prod_{j<r} gamma1(j)          for 0 <= r <= h,
-    m(h, 0) = sum_{k<h} gamma2(k) m(h-k-1, 0) prod_{j<k} gamma1(j),
-    m(0, 0) = 1,
+    q_{k,0} = (1-alpha)(1-mu)^(k-1) q00               for 1 <= k <= n0,
+    q_{n0+h,r} = (1-alpha)(1-mu)^(n0-1) m(h, r) q00   for h >= 0,
 
-with q_{n0+h,r} = (1-alpha)(1-mu)^(n0-1) m(h,r) q00 above the threshold and
-q_{k,0} = (1-alpha)(1-mu)^(k-1) q00 on the waiting ramp 1 <= k <= n0.
+and m(h, r) = m(h-r, 0) prod_{j<r} gamma1(j), since a count of r takes r
+consecutive failed transmissions.  The layer sums sum_r m(h, r) are sigma_h,
+so q00 = 1/((1-alpha) L) and the rate T/L come from the cycle sums of
+lagrangian.cycle_sums.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import isfinite
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import TruncationError
-from .model import gamma
-
-_MASS_FLOOR = 1e-300  # skip stationary entries that underflowed to zero
-
-
-def _gamma_arrays(source, channel, n: int) -> tuple[np.ndarray, np.ndarray]:
-    pairs = [gamma(source, channel, r) for r in range(n)]
-    return np.array([p.gamma1 for p in pairs]), np.array([p.gamma2 for p in pairs])
+from .lagrangian import SeriesConfig, SigmaSeries, cycle_sums
 
 
 @dataclass(frozen=True)
 class MTable:
-    """Multipliers m(h, r) in factored form: m0[h] = m(h, 0) and
-    gamma1_prefix[r] = prod_{j<r} gamma1(j) (accumulated in log space so deep
-    products underflow cleanly to zero instead of raising)."""
+    """Burst weights m(h, r) in factored form: m0[h] = m(h, 0) and
+    gamma1_prefix[r] = prod_{j<r} gamma1(j) (zero once the product
+    underflows)."""
 
     h_max: int
     m0: np.ndarray
@@ -53,18 +47,18 @@ class MTable:
 
 
 def m_table(source, channel, h_max: int) -> MTable:
+    """m(h, 0) and m(h, h) read off the sigma series' mass vector, which is
+    row 0 of P^h."""
     if h_max < 0:
         raise ValueError(f"h_max must be nonnegative, got {h_max}")
-    g1, g2 = _gamma_arrays(source, channel, max(h_max, 1))
+    series = SigmaSeries(source, channel, SeriesConfig(l_cap=max(h_max, 1)))
+    m0 = np.ones(h_max + 1)
     prefix = np.ones(h_max + 1)
-    if h_max >= 1:
-        with np.errstate(divide="ignore"):
-            prefix[1:] = np.exp(np.cumsum(np.log(g1[:h_max])))
-    m0 = np.zeros(h_max + 1)
-    m0[0] = 1.0
-    coef = g2[:h_max] * prefix[:h_max]
     for h in range(1, h_max + 1):
-        m0[h] = float(coef[:h] @ m0[h - 1 :: -1])
+        series.step()
+        mass = series.mass
+        m0[h] = mass[0]
+        prefix[h] = mass[h] if mass.size > h else 0.0
     return MTable(h_max, m0, prefix)
 
 
@@ -72,75 +66,51 @@ def m_table(source, channel, h_max: int) -> MTable:
 class RateAnalysis:
     """Stationary summary of the threshold-n0 chain.
 
-    ``stationary`` maps (delta, r) to probability over the truncated support;
-    the estimated mass beyond the truncation horizon is reported separately so
-    the map plus ``truncation_mass`` sums to one.
+    The sigma series is cut at ``depth``, its first term below the tail
+    tolerance.  ``stationary`` maps (delta, r) to probability over the ramp
+    and the burst layers h < depth; it is built on first read.  The cut
+    layer's mass is ``truncation_mass``, so the map plus it sums to one.
     """
 
     n0: int
     q00: float
     rate: float
-    stationary: dict[tuple[int, int], float]
     truncation_mass: float
+    depth: int
+    source: object = field(repr=False, compare=False)
+    channel: object = field(repr=False, compare=False)
+
+    @cached_property
+    def stationary(self) -> dict[tuple[int, int], float]:
+        alpha, mu = self.source.alpha, self.source.mu
+        law = {(0, 0): self.q00}
+        for k in range(1, self.n0):
+            law[(k, 0)] = self.q00 * (1.0 - alpha) * (1.0 - mu) ** (k - 1)
+        table = m_table(self.source, self.channel, max(self.depth - 1, 0))
+        h, r = np.tril_indices(self.depth)
+        scale = self.q00 * (1.0 - alpha) * (1.0 - mu) ** (self.n0 - 1)
+        mass = scale * table.m0[h - r] * table.gamma1_prefix[r]
+        keep = mass > 0.0
+        law.update(zip(zip((self.n0 + h[keep]).tolist(), r[keep].tolist()), mass[keep].tolist()))
+        return law
 
 
-def achieved_rate(
-    n0: int,
-    source,
-    channel,
-    tail_tol: float = 1e-12,
-    h_ceiling: int = 262_144,
-) -> RateAnalysis:
-    """Exact transmission rate C of the threshold-n0 policy plus its stationary law.
-
-    The h-layers above the threshold are accumulated until the estimated
-    stationary mass of the remaining tail (geometric extrapolation of the
-    layer sums) falls below tail_tol; q00 is then computed from the completed
-    double sum, so the materialized distribution plus the declared tail is
-    normalized exactly.
-    """
+def achieved_rate(n0: int, source, channel, tail_tol: float = 1e-12) -> RateAnalysis:
+    """Exact transmission rate T/L of the threshold-n0 policy, with the sigma
+    series cut at its first term below tail_tol."""
     if n0 < 1:
         raise ValueError(f"threshold must be >= 1, got {n0}")
-    if source.mu >= 1.0:
-        raise ValueError("mu must be below 1")
+    series = SigmaSeries(source, channel, SeriesConfig(epsilon=tail_tol))
+    depth = series.raw_depth()
+    sigma = series.values()
     alpha, mu = source.alpha, source.mu
-    omm = 1.0 - mu
-    pref_n0 = omm ** (n0 - 1)
-    ramp = (1.0 - pref_n0) / mu  # sum_{k=1}^{n0-1} (1-mu)^(k-1)
-
-    h_max = 128
-    while True:
-        table = m_table(source, channel, h_max)
-        layers = table.layer_sums()
-        ratio = layers[-1] / layers[-2] if layers[-2] > 0.0 else 0.0
-        if 0.0 <= ratio < 1.0:
-            tail_layers = layers[-1] * ratio / (1.0 - ratio)
-            partial = float(layers.sum())
-            q00_cand = 1.0 / (1.0 + (1.0 - alpha) * (ramp + pref_n0 * (partial + tail_layers)))
-            scaled_tail = q00_cand * (1.0 - alpha) * pref_n0 * tail_layers
-            if isfinite(scaled_tail) and scaled_tail < tail_tol:
-                break
-        if h_max >= h_ceiling:
-            raise TruncationError(
-                f"stationary layers not below tail_tol={tail_tol} within h={h_ceiling}"
-            )
-        h_max *= 2
-
-    total = partial + tail_layers
-    q00 = 1.0 / (1.0 + (1.0 - alpha) * (ramp + pref_n0 * total))
-    scale = q00 * (1.0 - alpha) * pref_n0
-    rate = scale * total
-
-    stationary: dict[tuple[int, int], float] = {(0, 0): q00}
-    for k in range(1, n0):
-        stationary[(k, 0)] = q00 * (1.0 - alpha) * omm ** (k - 1)
-    m0, prefix = table.m0, table.gamma1_prefix
-    for h in range(h_max + 1):
-        for r in range(h + 1):
-            mass = scale * m0[h - r] * prefix[r]
-            if mass >= _MASS_FLOOR:
-                stationary[(n0 + h, r)] = mass
-    return RateAnalysis(n0, q00, rate, stationary, scale * tail_layers)
+    pref = (1.0 - mu) ** (n0 - 1)
+    transmissions = pref * float(sigma[: depth + 1].sum())
+    length = 1.0 / (1.0 - alpha) + (1.0 - pref) / mu + transmissions
+    q00 = 1.0 / ((1.0 - alpha) * length)
+    return RateAnalysis(
+        n0, q00, transmissions / length, pref * float(sigma[depth]) / length, depth, source, channel
+    )
 
 
 def mixed_chain_analysis(
@@ -151,76 +121,28 @@ def mixed_chain_analysis(
     channel,
     penalty,
     tail_tol: float = 1e-12,
-    step_ceiling: int = 5_000_000,
 ) -> tuple[float, float]:
     """Exact long-run (transmission rate, average penalty) of the per-slot
     randomized two-threshold policy.
 
     Each slot the policy draws threshold n_high with probability rho_high,
-    n_low otherwise, and transmits iff the AoII reaches the drawn value; with
-    adjacent thresholds this randomizes the action only at AoII = n_low.  The
-    chain regenerates at (0, 0) and the AoII equals the excursion depth, so
-    expected occupancies per renewal cycle are propagated exactly over the
-    transmission count and the averages follow from renewal reward.
+    n_low otherwise, and transmits iff the AoII reaches the drawn value.  The
+    thresholds must be adjacent, so the draw matters only at AoII = n_low,
+    which a renewal cycle visits at most once: each cycle is a threshold-n_high
+    cycle with probability rho_high and a threshold-n_low cycle otherwise, and
+    the cycle sums (L, T, C) mix linearly.  The sigma series is cut at its
+    first term below tail_tol.
     """
     if n_low < 1:
         raise ValueError(f"n_low must be >= 1, got {n_low}")
     if n_high is None:
         n_high = n_low + 1
-    if n_high <= n_low:
-        raise ValueError(f"n_high must exceed n_low, got {(n_low, n_high)}")
+    if n_high != n_low + 1:
+        raise ValueError(f"thresholds must be adjacent, got {(n_low, n_high)}")
     if not 0.0 <= rho_high <= 1.0:
         raise ValueError(f"rho_high must lie in [0, 1], got {rho_high}")
-    alpha, mu = source.alpha, source.mu
-
-    g1 = np.empty(0)
-    g2 = np.empty(0)
-
-    def ensure(n: int):
-        nonlocal g1, g2
-        if g1.size < n:
-            a1, a2 = _gamma_arrays(source, channel, max(n, 2 * g1.size, 64))
-            g1, g2 = a1, a2
-
-    # Occupancies per renewal cycle: one visit to (0,0), then alive mass w[r]
-    # at depth t has AoII t until the first reset ends the cycle.
-    length = 1.0
-    cost = float(penalty(0))
-    transmissions = 0.0
-    w = np.array([1.0 - alpha])
-    t = 1
-    prev_alive = 1.0
-    while True:
-        alive = float(w.sum())
-        if alive <= 0.0:
-            break
-        ratio = min(alive / prev_alive, 1.0 - 1e-12) if t > max(n_high, 2) else 1.0 - 1e-12
-        f_t = penalty(t)
-        if t > n_high and alive * max(1.0, f_t) * ratio / (1.0 - ratio) ** 2 < tail_tol:
-            length += alive
-            cost += f_t * alive
-            transmissions += alive  # above n_high the policy always transmits
-            break
-        if t >= step_ceiling:
-            raise TruncationError(
-                f"mixed-chain occupancies not below tail_tol={tail_tol} within {step_ceiling} slots"
-            )
-        if t >= n_high:
-            tau = 1.0
-        elif t >= n_low:
-            tau = 1.0 - rho_high
-        else:
-            tau = 0.0
-        length += alive
-        cost += f_t * alive
-        transmissions += tau * alive
-        k = w.size
-        ensure(k)
-        new = np.empty(k + 1)
-        new[0] = (1.0 - tau) * (1.0 - mu) * alive + tau * float(w @ g2[:k])
-        new[1:] = w * (tau * g1[:k])
-        nz = np.nonzero(new >= _MASS_FLOOR)[0]
-        w = new[: nz[-1] + 1] if nz.size else new[:1]
-        prev_alive = alive
-        t += 1
+    series = SigmaSeries(source, channel, SeriesConfig(epsilon=tail_tol))
+    low = cycle_sums(n_low, source, channel, penalty, series=series)
+    high = cycle_sums(n_high, source, channel, penalty, series=series)
+    length, transmissions, cost = (rho_high * h + (1.0 - rho_high) * l for h, l in zip(high, low))
     return transmissions / length, cost / length

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import gamma
+from .model import gamma_arrays
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,7 @@ def rvi_solve(lam: float, source, channel, penalty, cfg: RviConfig = RviConfig()
         )
     D, K = cfg.delta_max, cfg.r_cap
     alpha, mu = source.alpha, source.mu
-    pairs = [gamma(source, channel, r) for r in range(K + 1)]
-    g1 = np.array([p.gamma1 for p in pairs])
-    g2 = np.array([p.gamma2 for p in pairs])
+    g1, g2 = gamma_arrays(source, channel, K + 1)
     f = penalty.evaluate(np.arange(D + 1, dtype=float))
 
     # Initial table f(delta), anchored at the reference state.  RVI is

@@ -51,6 +51,11 @@ class TestSolveCommand:
         assert record["regime"] == "pure-threshold"
         assert record["lambda_star"] == "0"
 
+    def test_series_cap_is_a_numerical_failure(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, budget={"R": 0.2}, solver={"l_cap": 5})
+        assert main(["solve", "--config", cfg]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
     def test_mixed_budget_exact(self, tmp_path, capsys):
         cfg = write_config(tmp_path, budget={"R": 0.2})
         assert main(["solve", "--config", cfg]) == 0

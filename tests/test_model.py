@@ -12,6 +12,7 @@ from aoii_harq import (
     TRANSMIT,
     WAIT,
     gamma,
+    gamma_arrays,
     p_success,
     transition_dist,
     validate_boundedness,
@@ -170,6 +171,37 @@ class TestGamma:
             GammaPair(-0.1, 0.5)
         with pytest.raises(ValueError):
             GammaPair(0.6, 0.5)
+
+
+class _FixedLaw:
+    """Duck-typed channel with one success probability for every r, valid or not."""
+
+    round_length = None
+
+    def __init__(self, p):
+        self.p = p
+
+    def success_probability(self, r):
+        return self.p
+
+
+class TestGammaArrays:
+    def test_matches_gamma_for_random_models(self):
+        rng = np.random.default_rng(5)
+        for source, channel in random_models(rng, 20):
+            g1, g2 = gamma_arrays(source, channel, 65)
+            for r in range(65):
+                pair = gamma(source, channel, r)
+                assert (g1[r], g2[r]) == (pair.gamma1, pair.gamma2)
+
+    @pytest.mark.parametrize("p", [1.5, -1.0])
+    def test_rejects_what_gamma_pair_rejects(self, p):
+        # p > 1 makes gamma1 negative; p = -1 makes gamma1 + gamma2 = 1.43
+        source = SourceModel(0.5, 1 / 30)
+        with pytest.raises(ValueError):
+            gamma(source, _FixedLaw(p), 0)
+        with pytest.raises(ValueError):
+            gamma_arrays(source, _FixedLaw(p), 4)
 
 
 class TestTransitionDist:

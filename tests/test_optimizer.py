@@ -1,5 +1,6 @@
 import pytest
 
+from aoii_harq import optimizer
 from aoii_harq import (
     BoundednessError,
     ChannelModel,
@@ -9,6 +10,7 @@ from aoii_harq import (
     REGIME_MIXED,
     REGIME_NEVER_TRANSMIT,
     REGIME_PURE_THRESHOLD,
+    SolverError,
     SourceModel,
     g_for_threshold,
     g_wait,
@@ -65,11 +67,12 @@ class TestSolveCmdp:
         assert min(g_low, g_high) - 1e-9 <= sol.predicted_aoii <= max(g_low, g_high) + 1e-9
 
     def test_linear_weight_would_miss_the_budget(self, paper_source, paper_channel, linear_penalty):
-        # the per-slot randomized chain's rate is not linear in the weight, so
-        # the linear mixing identity seeds but cannot replace the root solve
+        # the per-slot randomized chain's rate is not linear in the weight (the
+        # cycle sums are), so the linear mixing identity of the pure rates
+        # cannot replace the solve's weight
         budget = 0.2
         sol = solve_cmdp(budget, paper_source, paper_channel, linear_penalty)
-        seed_rho = sol.diagnostics["rho_linear_seed"]
+        seed_rho = (sol.rate_low - budget) / (sol.rate_low - sol.rate_high)
         rate_at_seed, _ = mixed_chain_analysis(
             sol.n_low, sol.n_high, seed_rho, paper_source, paper_channel, linear_penalty
         )
@@ -99,6 +102,17 @@ class TestSolveCmdp:
             for r in (0.1, 0.2, 0.4, 0.8)
         ]
         assert all(b <= a + 1e-9 for a, b in zip(aoiis, aoiis[1:]))
+
+    def test_broken_certificate_raises(self, monkeypatch, paper_source, paper_channel, linear_penalty):
+        # a threshold oracle that disagrees with the cycle sums at lambda* > 0
+        real = optimizer.optimal_threshold
+
+        def shifted(lam, *args, **kwargs):
+            return real(lam, *args, **kwargs) + (1 if lam > 0.0 else 0)
+
+        monkeypatch.setattr(optimizer, "optimal_threshold", shifted)
+        with pytest.raises(SolverError, match="certificate"):
+            solve_cmdp(0.2, paper_source, paper_channel, linear_penalty)
 
     def test_boundedness_gate(self, linear_penalty):
         source = SourceModel(alpha=0.5, mu=1e-9)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import oracles
@@ -112,6 +113,13 @@ class TestAchievedRate:
         se = math.sqrt(analysis.rate * (1 - analysis.rate) / horizon)
         assert abs(rate - analysis.rate) <= 3 * se
 
+    def test_stationary_law_is_built_on_first_read(self, paper_source, paper_channel):
+        analysis = achieved_rate(4, paper_source, paper_channel)
+        assert "stationary" not in vars(analysis)
+        law = analysis.stationary
+        assert analysis.stationary is law
+        assert max(d for d, _ in law) == 4 + analysis.depth - 1
+
     def test_rejects_bad_threshold(self, paper_source, paper_channel):
         with pytest.raises(ValueError):
             achieved_rate(0, paper_source, paper_channel)
@@ -165,6 +173,30 @@ class TestMixedChain:
         for rho in (0.2, 0.5, 0.8):
             _, aoii = mixed_chain_analysis(3, 4, rho, paper_source, paper_channel, linear_penalty)
             assert lo - 1e-9 <= aoii <= hi + 1e-9
+
+    @pytest.mark.parametrize("n_low, rho", [(2, 0.6), (10, 0.3)])
+    def test_matches_power_iteration(self, paper_source, paper_channel, linear_penalty, n_low, rho):
+        # transmit never below n_low, w.p. 1 - rho at n_low, always above it
+        rate_mixed, aoii_mixed = mixed_chain_analysis(
+            n_low, n_low + 1, rho, paper_source, paper_channel, linear_penalty
+        )
+
+        def transmit_prob(delta):
+            return 0.0 if delta < n_low else (1.0 - rho if delta == n_low else 1.0)
+
+        law = oracles.stationary_power_iteration(
+            paper_source.alpha, paper_source.mu, oracles.make_p(0.5, 0.5, 2),
+            transmit_prob, dcap=200, rcap=40,
+        )
+        per_delta = law.sum(axis=1)
+        rate = float(sum(transmit_prob(d) * q for d, q in enumerate(per_delta)))
+        aoii = float(np.arange(per_delta.size) @ per_delta)
+        assert abs(rate - rate_mixed) <= 1e-10
+        assert abs(aoii - aoii_mixed) <= 1e-10 * aoii
+
+    def test_requires_adjacent_thresholds(self, paper_source, paper_channel, linear_penalty):
+        with pytest.raises(ValueError):
+            mixed_chain_analysis(3, 5, 0.5, paper_source, paper_channel, linear_penalty)
 
     def test_validates_arguments(self, paper_source, paper_channel, linear_penalty):
         with pytest.raises(ValueError):
