@@ -18,14 +18,12 @@ from .errors import (
     TruncationError,
 )
 from .lagrangian import (
-    LagrangianSolution,
     SeriesConfig,
     cycle_sums,
     g_for_threshold,
     g_wait,
     optimal_threshold,
     sigma_series,
-    solve_lagrangian,
     value_at,
 )
 from .model import (

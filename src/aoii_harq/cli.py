@@ -78,12 +78,16 @@ def _solution_fields(sol: optimizer.CmdpSolution) -> list[tuple[str, object]]:
     return fields
 
 
-def cmd_solve(cfg: RunConfig, out: str | None) -> int:
-    budget = cfg.require_scalar_budget()
-    sol = optimizer.solve_cmdp(
+def _solve(cfg: RunConfig, budget: float) -> optimizer.CmdpSolution:
+    return optimizer.solve_cmdp(
         budget, cfg.source, cfg.channel, cfg.penalty,
         cfg.solver.series_config(), cfg.solver.lambda_tol, cfg.solver.tail_tol,
     )
+
+
+def cmd_solve(cfg: RunConfig, out: str | None) -> int:
+    budget = cfg.require_scalar_budget()
+    sol = _solve(cfg, budget)
     _emit(_record_lines("solve", cfg, _solution_fields(sol)), out)
     return EXIT_OK
 
@@ -103,10 +107,7 @@ def cmd_wait_aoii(cfg: RunConfig, out: str | None) -> int:
 
 def cmd_simulate(cfg: RunConfig, out: str | None) -> int:
     budget = cfg.require_scalar_budget()
-    sol = optimizer.solve_cmdp(
-        budget, cfg.source, cfg.channel, cfg.penalty,
-        cfg.solver.series_config(), cfg.solver.lambda_tol, cfg.solver.tail_tol,
-    )
+    sol = _solve(cfg, budget)
     policy = optimizer.solution_policy(sol)
     report = sim.replicate(
         policy, cfg.source, cfg.channel, cfg.penalty,
@@ -131,10 +132,7 @@ def _sweep_row(cfg: RunConfig, budget: float, row_index: int) -> dict[str, objec
     row: dict[str, object] = {key: "" for key in SWEEP_COLUMNS}
     row["R"] = budget
     try:
-        sol = optimizer.solve_cmdp(
-            budget, cfg.source, cfg.channel, cfg.penalty,
-            cfg.solver.series_config(), cfg.solver.lambda_tol, cfg.solver.tail_tol,
-        )
+        sol = _solve(cfg, budget)
         policy = optimizer.solution_policy(sol)
         row["n_high"] = sol.n_high if sol.n_high is not None else ""
         row["n_low"] = sol.n_low if sol.n_low is not None else ""
@@ -323,19 +321,12 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.seed is not None or args.reps is not None:
-            sim_settings = replace(
-                cfg.sim,
-                **({"seed": args.seed} if args.seed is not None else {}),
-                **({"n_reps": args.reps} if args.reps is not None else {}),
-            )
-            resolved = dict(cfg.resolved)
-            resolved["sim"] = {
-                "horizon": sim_settings.horizon,
-                "seed": sim_settings.seed,
-                "n_reps": sim_settings.n_reps,
-            }
-            cfg = replace(cfg, sim=sim_settings, resolved=resolved)
+        flags = {"seed": args.seed, "n_reps": args.reps}
+        overrides = {key: value for key, value in flags.items() if value is not None}
+        try:
+            cfg = replace(cfg, sim=replace(cfg.sim, **overrides))
+        except ValueError as exc:
+            raise ConfigError("sim", str(exc)) from exc
         handler = {
             "solve": cmd_solve,
             "sweep": cmd_sweep,

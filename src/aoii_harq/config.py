@@ -3,20 +3,19 @@
 Physical parameters (alpha, p_e, c, the penalty, the budget) must be explicit;
 only tolerances and simulation bookkeeping carry engineering defaults.
 Unknown keys anywhere are rejected so typos cannot silently fall back to a
-default.
+default.  Each optional settings section is read through its dataclass: a
+field takes the type of its default, and the dataclass checks its range.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from .errors import ConfigError
 from .lagrangian import SeriesConfig
 from .model import ChannelModel, PenaltySpec, SourceModel
 from .rvi import RviConfig
-
-_OUTPUT_KEYS = ("solve", "sweep", "simulate", "validate", "wait_aoii")
 
 
 @dataclass(frozen=True)
@@ -27,6 +26,13 @@ class SolverSettings:
     lambda_tol: float = 1e-6
     tail_tol: float = 1e-12
 
+    def __post_init__(self) -> None:
+        self.series_config()  # checks epsilon, weighted_epsilon and l_cap
+        if not self.lambda_tol > 0.0 or not self.tail_tol > 0.0:
+            raise ValueError(
+                f"lambda_tol and tail_tol must be positive, got {self.lambda_tol} and {self.tail_tol}"
+            )
+
     def series_config(self) -> SeriesConfig:
         return SeriesConfig(self.epsilon, self.weighted_epsilon, self.l_cap)
 
@@ -36,6 +42,12 @@ class SimSettings:
     horizon: int = 100_000
     seed: int = 0
     n_reps: int = 1
+
+    def __post_init__(self) -> None:
+        if self.horizon < 1 or self.n_reps < 1:
+            raise ValueError(f"horizon and n_reps must be >= 1, got {self.horizon} and {self.n_reps}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -55,6 +67,14 @@ class ValidateSettings:
     max_iters: int = 100_000
     gamma_perturb: float = 0.0
 
+    def __post_init__(self) -> None:
+        RviConfig(self.delta_max, self.r_cap, self.max_iters, self.span_tol)  # checks their ranges
+        if min(self.lambdas) < 0.0 or min(self.thresholds) < 1:
+            raise ValueError(
+                f"lambdas must be >= 0 and thresholds >= 1, "
+                f"got {list(self.lambdas)} and {list(self.thresholds)}"
+            )
+
     def rvi_config(self, channel) -> RviConfig:
         r_cap = self.r_cap
         if channel.round_length is not None:
@@ -72,8 +92,18 @@ class RunConfig:
     solver: SolverSettings
     sim: SimSettings
     validate: ValidateSettings
-    outputs: dict[str, str] = field(default_factory=dict)
-    resolved: dict = field(default_factory=dict)
+    raw: dict
+
+    @property
+    def resolved(self) -> dict:
+        """The raw config with the channel, solver and sim defaults filled in,
+        used as the provenance header."""
+        return {
+            **self.raw,
+            "channel": {"r_max": None, "combining": "soft", **self.raw["channel"]},
+            "solver": asdict(self.solver),
+            "sim": asdict(self.sim),
+        }
 
     def require_scalar_budget(self) -> float:
         if self.budget is None:
@@ -92,19 +122,20 @@ def _check_keys(section: dict, path: str, allowed) -> None:
         raise ConfigError(f"{path}.{sorted(unknown)[0]}", "unknown key")
 
 
-def _num(section: dict, path: str, key: str, required=True, default=None, integer=False):
-    if key not in section:
-        if required:
-            raise ConfigError(f"{path}.{key}", "required field is missing")
-        return default
-    value = section[key]
+def _number(value, path: str, integer: bool = False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}", f"expected a number, got {value!r}")
+        raise ConfigError(path, f"expected a number, got {value!r}")
     if integer:
         if not isinstance(value, int):
-            raise ConfigError(f"{path}.{key}", f"expected an integer, got {value!r}")
+            raise ConfigError(path, f"expected an integer, got {value!r}")
         return value
     return float(value)
+
+
+def _num(section: dict, path: str, key: str, integer: bool = False):
+    if key not in section:
+        raise ConfigError(f"{path}.{key}", "required field is missing")
+    return _number(section[key], f"{path}.{key}", integer)
 
 
 def _build_source(section) -> SourceModel:
@@ -180,128 +211,59 @@ def _build_budget(section) -> tuple[float | None, tuple[float, ...] | None]:
         raise ConfigError("budget.R_grid", "expected a non-empty list")
     values = []
     for i, v in enumerate(grid):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"budget.R_grid[{i}]", f"expected a number, got {v!r}")
+        v = _number(v, f"budget.R_grid[{i}]")
         if not 0.0 < v <= 1.0:
             raise ConfigError(f"budget.R_grid[{i}]", f"must lie in (0, 1], got {v}")
-        values.append(float(v))
+        values.append(v)
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ConfigError("budget.R_grid", "values must be strictly increasing")
     return None, tuple(values)
 
 
-def _build_solver(section) -> SolverSettings:
+def _typed(value, default, path: str):
+    """value read with the type of default: an integer, a number, or a
+    non-empty list of either."""
+    if isinstance(default, tuple):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(path, "expected a non-empty list")
+        return tuple(_typed(v, default[0], f"{path}[{i}]") for i, v in enumerate(value))
+    return _number(value, path, integer=isinstance(default, int))
+
+
+def _build_settings(cls, section, path: str):
     if section is None:
-        return SolverSettings()
+        return cls()
     if not isinstance(section, dict):
-        raise ConfigError("solver", "expected an object")
-    _check_keys(section, "solver", ("epsilon", "weighted_epsilon", "l_cap", "lambda_tol", "tail_tol"))
-    d = SolverSettings()
-    return SolverSettings(
-        epsilon=_num(section, "solver", "epsilon", required=False, default=d.epsilon),
-        weighted_epsilon=_num(section, "solver", "weighted_epsilon", required=False, default=d.weighted_epsilon),
-        l_cap=_num(section, "solver", "l_cap", required=False, default=d.l_cap, integer=True),
-        lambda_tol=_num(section, "solver", "lambda_tol", required=False, default=d.lambda_tol),
-        tail_tol=_num(section, "solver", "tail_tol", required=False, default=d.tail_tol),
-    )
-
-
-def _build_sim(section) -> SimSettings:
-    if section is None:
-        return SimSettings()
-    if not isinstance(section, dict):
-        raise ConfigError("sim", "expected an object")
-    _check_keys(section, "sim", ("horizon", "seed", "n_reps"))
-    d = SimSettings()
-    out = SimSettings(
-        horizon=_num(section, "sim", "horizon", required=False, default=d.horizon, integer=True),
-        seed=_num(section, "sim", "seed", required=False, default=d.seed, integer=True),
-        n_reps=_num(section, "sim", "n_reps", required=False, default=d.n_reps, integer=True),
-    )
-    if out.horizon < 1 or out.n_reps < 1:
-        raise ConfigError("sim", "horizon and n_reps must be >= 1")
-    return out
-
-
-def _build_validate(section) -> ValidateSettings:
-    if section is None:
-        return ValidateSettings()
-    if not isinstance(section, dict):
-        raise ConfigError("validate", "expected an object")
-    allowed = ("lambdas", "thresholds", "delta_max", "r_cap", "span_tol", "max_iters", "gamma_perturb")
-    _check_keys(section, "validate", allowed)
-    d = ValidateSettings()
-    lambdas = section.get("lambdas", list(d.lambdas))
-    thresholds = section.get("thresholds", list(d.thresholds))
-    for name, seq in (("lambdas", lambdas), ("thresholds", thresholds)):
-        if not isinstance(seq, list) or not seq:
-            raise ConfigError(f"validate.{name}", "expected a non-empty list")
-    return ValidateSettings(
-        lambdas=tuple(float(v) for v in lambdas),
-        thresholds=tuple(int(v) for v in thresholds),
-        delta_max=_num(section, "validate", "delta_max", required=False, default=d.delta_max, integer=True),
-        r_cap=_num(section, "validate", "r_cap", required=False, default=d.r_cap, integer=True),
-        span_tol=_num(section, "validate", "span_tol", required=False, default=d.span_tol),
-        max_iters=_num(section, "validate", "max_iters", required=False, default=d.max_iters, integer=True),
-        gamma_perturb=_num(section, "validate", "gamma_perturb", required=False, default=d.gamma_perturb),
-    )
-
-
-def _build_outputs(section) -> dict[str, str]:
-    if section is None:
-        return {}
-    if not isinstance(section, dict):
-        raise ConfigError("outputs", "expected an object")
-    _check_keys(section, "outputs", _OUTPUT_KEYS)
-    out = {}
-    for key, value in section.items():
-        if not isinstance(value, str):
-            raise ConfigError(f"outputs.{key}", f"expected a path string, got {value!r}")
-        out[key] = value
-    return out
+        raise ConfigError(path, "expected an object")
+    defaults = vars(cls())
+    _check_keys(section, path, defaults)
+    values = {key: _typed(value, defaults[key], f"{path}.{key}") for key, value in section.items()}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
 
 
 def parse_config(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("<root>", "expected a JSON object")
-    allowed = ("source", "channel", "penalty", "budget", "solver", "sim", "validate", "outputs")
+    allowed = ("source", "channel", "penalty", "budget", "solver", "sim", "validate")
     _check_keys(data, "<root>", allowed)
     for required in ("source", "channel", "penalty", "budget"):
         if required not in data:
             raise ConfigError(required, "required section is missing")
     budget, grid = _build_budget(data["budget"])
-    cfg = RunConfig(
+    return RunConfig(
         source=_build_source(data["source"]),
         channel=_build_channel(data["channel"]),
         penalty=_build_penalty(data["penalty"]),
         budget=budget,
         budget_grid=grid,
-        solver=_build_solver(data.get("solver")),
-        sim=_build_sim(data.get("sim")),
-        validate=_build_validate(data.get("validate")),
-        outputs=_build_outputs(data.get("outputs")),
-        resolved=_resolve(data),
+        solver=_build_settings(SolverSettings, data.get("solver"), "solver"),
+        sim=_build_settings(SimSettings, data.get("sim"), "sim"),
+        validate=_build_settings(ValidateSettings, data.get("validate"), "validate"),
+        raw=data,
     )
-    return cfg
-
-
-def _resolve(data: dict) -> dict:
-    """Defaults-filled copy of the raw config, used as the provenance header."""
-    resolved = json.loads(json.dumps(data))
-    solver = _build_solver(data.get("solver"))
-    sim = _build_sim(data.get("sim"))
-    resolved.setdefault("channel", {})
-    resolved["channel"].setdefault("r_max", None)
-    resolved["channel"].setdefault("combining", "soft")
-    resolved["solver"] = {
-        "epsilon": solver.epsilon,
-        "weighted_epsilon": solver.weighted_epsilon,
-        "l_cap": solver.l_cap,
-        "lambda_tol": solver.lambda_tol,
-        "tail_tol": solver.tail_tol,
-    }
-    resolved["sim"] = {"horizon": sim.horizon, "seed": sim.seed, "n_reps": sim.n_reps}
-    return resolved
 
 
 def load_config(path: str) -> RunConfig:

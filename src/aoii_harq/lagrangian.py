@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, ThresholdSearchError, TruncationError
-from .model import gamma_arrays
+from .errors import ThresholdSearchError, TruncationError
+from .model import gamma_arrays, settled_sum
 
 # Strict-inequality tie break for the threshold condition: margins this close
 # to zero count as "not yet optimal" so floating-point noise cannot flip the
@@ -53,23 +53,6 @@ class SeriesConfig:
             raise ValueError("l_cap must be at least 1")
 
 
-@dataclass(frozen=True)
-class LagrangianSolution:
-    """Bundled result of one Lagrangian solve at a fixed multiplier.
-
-    n0_star is None for the never-transmit regime (mu >= alpha), in which
-    case g equals the waiting-policy average cost and the series fields are
-    NaN.
-    """
-
-    lam: float
-    n0_star: int | None
-    g: float
-    sigma_sum: float
-    weighted_sum: float
-    truncation_depth: int
-
-
 class SigmaSeries:
     """Lazily extended sigma_l sequence with its propagating mass vector."""
 
@@ -92,10 +75,6 @@ class SigmaSeries:
     @property
     def depth(self) -> int:
         return len(self._sigma) - 1
-
-    @property
-    def last(self) -> float:
-        return self._sigma[-1]
 
     @property
     def mass(self) -> np.ndarray:
@@ -262,19 +241,43 @@ def _threshold_margin(n0, lam, source, channel, penalty, cfg, series) -> float:
     return (1.0 - source.mu) * v_hi - v_lo + penalty(n0) - g
 
 
+def least_true(fires, start: int) -> int:
+    """Least integer n > start with fires(n), for a predicate that is false up
+    to some point and true from it on.
+
+    Probes start + 1, start + 2, start + 4, ... (the last probe capped at
+    N0_CEILING) until one fires, then bisects the integers between the last
+    two probes.
+    """
+    lo, hi = start, start + 1
+    while not fires(hi):
+        if hi >= N0_CEILING:
+            raise ThresholdSearchError(
+                f"no threshold up to n0={N0_CEILING} satisfies the search condition; "
+                "the multiplier, penalty or budget is likely degenerate"
+            )
+        lo, hi = hi, min(2 * hi - start, N0_CEILING)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fires(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def optimal_threshold(
     lam: float,
     source,
     channel,
     penalty,
     cfg: SeriesConfig = SeriesConfig(),
-    n0_ceiling: int = N0_CEILING,
 ) -> int | None:
     """Least n0 >= 1 whose margin is strictly positive, or None (never transmit).
 
     For mu >= alpha transmission cannot beat waiting and None is returned.
     Otherwise the margin is nondecreasing in n0, so the least positive point
-    is located by exponential bracketing followed by binary search.
+    is located by least_true.
     """
     if source.mu >= source.alpha:
         return None
@@ -283,22 +286,7 @@ def optimal_threshold(
     def fires(n0: int) -> bool:
         return _threshold_margin(n0, lam, source, channel, penalty, cfg, series) > _TIE_TOL
 
-    lo, hi = 0, 1
-    while not fires(hi):
-        lo = hi
-        hi *= 2
-        if hi > n0_ceiling:
-            raise ThresholdSearchError(
-                f"threshold margin still nonpositive at n0={n0_ceiling}; "
-                "multiplier or penalty is likely degenerate"
-            )
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if fires(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return least_true(fires, 0)
 
 
 def g_wait(source, penalty, cfg: SeriesConfig = SeriesConfig()) -> float:
@@ -316,40 +304,5 @@ def g_wait(source, penalty, cfg: SeriesConfig = SeriesConfig()) -> float:
     alpha, mu = source.alpha, source.mu
     if getattr(penalty, "kind", None) == "linear":
         return (1.0 - alpha) / (mu * (mu + 1.0 - alpha))
-    omm = 1.0 - mu
-    total = 0.0
-    prev = np.inf
-    block = 8192
-    i = 0
-    while i <= cfg.l_cap:
-        idx = np.arange(i, min(i + block, cfg.l_cap + 1), dtype=float)
-        terms = penalty.evaluate(idx + 1.0) * np.power(omm, idx)
-        if not np.all(np.isfinite(terms)) or terms.max() > 1e50:
-            raise DivergenceError("waiting-cost series fails the ratio test")
-        for k, t in enumerate(terms):
-            if t == 0.0 or (t < cfg.weighted_epsilon and t < prev):
-                total += float(terms[: k + 1].sum())
-                return mu * (penalty(0) + (1.0 - alpha) * total) / (mu + 1.0 - alpha)
-            prev = t
-        total += float(terms.sum())
-        i += block
-    raise DivergenceError(
-        f"waiting-cost series did not stabilize within l_cap={cfg.l_cap} terms"
-    )
-
-
-def solve_lagrangian(
-    lam: float,
-    source,
-    channel,
-    penalty,
-    cfg: SeriesConfig = SeriesConfig(),
-) -> LagrangianSolution:
-    """Optimal threshold and average priced cost at a fixed multiplier."""
-    if source.mu >= source.alpha:
-        return LagrangianSolution(lam, None, g_wait(source, penalty, cfg), float("nan"), float("nan"), 0)
-    series = SigmaSeries(source, channel, cfg)
-    n0 = optimal_threshold(lam, source, channel, penalty, cfg)
-    g = g_for_threshold(n0, lam, source, channel, penalty, cfg, series=series)
-    sig_sum, weighted, depth = series.sums_for(n0, penalty)
-    return LagrangianSolution(lam, n0, g, sig_sum, weighted, depth)
+    total = settled_sum(penalty, 1.0 - mu, 0, cfg.weighted_epsilon, cfg.l_cap)
+    return mu * (penalty(0) + (1.0 - alpha) * total) / (mu + 1.0 - alpha)

@@ -14,10 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DivergenceError
+
 WAIT = "wait"
 TRANSMIT = "transmit"
 
 _EQ_TOL = 1e-12
+_SERIES_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -263,6 +266,32 @@ def transition_dist(state: State, action: str, source: SourceModel, channel) -> 
     return [(s, p) for s, p in successors if p > 0.0]
 
 
+def settled_sum(penalty, q: float, start: int, tol: float, l_cap: int) -> float:
+    """sum_{i >= start} f(i+1) q^i, up to and including the first term that is
+    0, or below ``tol`` and below the term before it.
+
+    Terms are summed in blocks of 8192.  Raises DivergenceError when a term is
+    not finite or exceeds 1e50 (ratio test), or when no term settles by
+    i = ``l_cap``.
+    """
+    total = 0.0
+    prev = np.inf
+    for i in range(start, l_cap + 1, _SERIES_BLOCK):
+        idx = np.arange(i, min(i + _SERIES_BLOCK, l_cap + 1), dtype=float)
+        terms = penalty.evaluate(idx + 1.0) * np.power(q, idx)
+        if not np.all(np.isfinite(terms)) or terms.max() > 1e50:
+            raise DivergenceError(f"the series of f(i+1) q^i, q = {q!r}, fails the ratio test")
+        before = np.concatenate(([prev], terms[:-1]))
+        settled = np.flatnonzero((terms == 0.0) | ((terms < tol) & (terms < before)))
+        if settled.size:
+            return total + float(terms[: settled[0] + 1].sum())
+        total += float(terms.sum())
+        prev = terms[-1]
+    raise DivergenceError(
+        f"the series of f(i+1) q^i, q = {q!r}, did not settle within l_cap={l_cap} terms"
+    )
+
+
 def validate_boundedness(source, channel, penalty, tol: float = 1e-10, l_cap: int = 1_000_000) -> bool:
     """Numerically certify sum_{l>=1} f(l+1) * (gamma1(0)+gamma2(0))**l < inf.
 
@@ -275,17 +304,8 @@ def validate_boundedness(source, channel, penalty, tol: float = 1e-10, l_cap: in
     q = pair.gamma1 + pair.gamma2
     if q >= 1.0:
         return False
-    block = 8192
-    prev = np.inf
-    l = 1
-    while l <= l_cap:
-        ls = np.arange(l, min(l + block, l_cap + 1), dtype=float)
-        terms = penalty.evaluate(ls + 1.0) * np.power(q, ls)
-        if not np.all(np.isfinite(terms)) or terms.max() > 1e50:
-            return False
-        for t in terms:
-            if t == 0.0 or (t < tol and t < prev):
-                return True
-            prev = t
-        l += block
-    return False
+    try:
+        settled_sum(penalty, q, 1, tol, l_cap)
+    except DivergenceError:
+        return False
+    return True

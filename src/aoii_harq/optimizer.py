@@ -19,8 +19,8 @@ from typing import Optional
 
 import scipy  # noqa: F401  (benchmark workers report the loaded scipy version)
 
-from .errors import BoundednessError, SolverError, ThresholdSearchError
-from .lagrangian import N0_CEILING, SeriesConfig, SigmaSeries, cycle_sums, g_wait, optimal_threshold
+from .errors import BoundednessError, SolverError
+from .lagrangian import SeriesConfig, SigmaSeries, cycle_sums, g_wait, least_true, optimal_threshold
 from .model import validate_boundedness
 from .rate import achieved_rate, mixed_chain_analysis
 from .sim import FixedThreshold, MixedThreshold, NeverTransmit
@@ -177,22 +177,11 @@ def solve_cmdp(
         trace.append((_tie_price(cycle(n0 - 1), cycle(n0)), n0, rate(n0)))
         return rate(n0) <= R
 
-    # the rate falls strictly in n0: bracket the least feasible threshold
-    # above n_zero by doubling the step, then bisect the integers
-    lo, hi = n_zero, n_zero + 1
-    while not feasible(hi):
-        if hi >= N0_CEILING:
-            raise ThresholdSearchError(f"no threshold up to {N0_CEILING} meets the budget {R}")
-        lo, hi = hi, min(2 * hi - n_zero, N0_CEILING)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
+    # the rate falls strictly in n0, so feasibility is monotone
+    n_high = least_true(feasible, n_zero)
     _check_trace(trace)
 
-    n_high, n_low = hi, hi - 1
+    n_low = n_high - 1
     lambda_star = _tie_price(cycle(n_low), cycle(n_high))
     for lam, expected in ((lambda_star * (1.0 - _CERTIFICATE_STEP), n_low),
                           (lambda_star * (1.0 + _CERTIFICATE_STEP), n_high)):

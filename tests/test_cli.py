@@ -1,11 +1,12 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from aoii_harq import achieved_rate, FixedThreshold, g_wait, PenaltySpec, simulate, SourceModel
 from aoii_harq.cli import main
-from aoii_harq.config import load_config
+from aoii_harq.config import load_config, parse_config
 
 BASE = {
     "source": {"alpha": 0.5, "n_states": 16},
@@ -217,3 +218,70 @@ class TestWaitAoiiCommand:
         record = parse_record(capsys.readouterr().out)
         assert float(record["g_wait"]) == pytest.approx(1.0, abs=1e-12)
         assert record["waiting_is_optimal"] == "True"
+
+
+BAD_INPUTS = [
+    # config sections, extra flags, field in "config error at <field>", word in the message
+    pytest.param({"solver": {"epsilon": -1}}, [], "solver", "epsilon", id="solver.epsilon=-1"),
+    pytest.param({"solver": {"l_cap": 0}}, [], "solver", "l_cap", id="solver.l_cap=0"),
+    pytest.param({"solver": {"tail_tol": 0}}, [], "solver", "tail_tol", id="solver.tail_tol=0"),
+    pytest.param({"sim": {"seed": -1}}, [], "sim", "seed", id="sim.seed=-1"),
+    pytest.param({"validate": {"thresholds": [0]}}, [], "validate", "thresholds", id="thresholds=[0]"),
+    pytest.param({"validate": {"thresholds": [1.7]}}, [], "validate.thresholds[0]", "integer",
+                 id="thresholds=[1.7]"),
+    pytest.param({"validate": {"thresholds": ["x"]}}, [], "validate.thresholds[0]", "number",
+                 id="thresholds=[x]"),
+    pytest.param({"validate": {"lambdas": [True]}}, [], "validate.lambdas[0]", "number", id="lambdas=[true]"),
+    pytest.param({"validate": {"lambdas": [-1]}}, [], "validate", "lambdas", id="lambdas=[-1]"),
+    pytest.param({"validate": {"delta_max": 1}}, [], "validate", "delta_max", id="validate.delta_max=1"),
+    pytest.param({"validate": {"span_tol": -1}}, [], "validate", "span_tol", id="validate.span_tol=-1"),
+    pytest.param({"outputs": {"sweep": "sweep.csv"}}, [], "<root>.outputs", "unknown key", id="outputs"),
+    pytest.param({}, ["--seed", "-1"], "sim", "seed", id="--seed=-1"),
+    pytest.param({}, ["--reps", "0"], "sim", "n_reps", id="--reps=0"),
+]
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("sections, flags, field, word", BAD_INPUTS)
+    def test_bad_input_exits_two_and_names_it(self, tmp_path, capsys, sections, flags, field, word):
+        cfg = write_config(tmp_path, budget={"R": 0.2}, **sections)
+        assert main(["simulate", "--config", cfg] + flags) == 2
+        err = capsys.readouterr().err
+        assert f"config error at {field}: " in err
+        assert word in err
+
+
+class TestResolvedConfig:
+    def test_example_config(self):
+        path = Path(__file__).resolve().parent.parent / "configs" / "example.json"
+        assert load_config(str(path)).resolved == {
+            "source": {"alpha": 0.5, "n_states": 16},
+            "channel": {"p_e": 0.5, "c": 0.5, "r_max": 2, "combining": "soft"},
+            "penalty": {"kind": "linear"},
+            "budget": {"R_grid": [0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5, 0.65, 0.8, 0.95]},
+            "solver": {"epsilon": 1e-12, "weighted_epsilon": 1e-10, "l_cap": 1_000_000,
+                       "lambda_tol": 1e-6, "tail_tol": 1e-12},
+            "sim": {"horizon": 100_000, "seed": 2024, "n_reps": 4},
+        }
+
+    def test_every_solver_and_sim_default_overridden(self):
+        data = {
+            "source": {"alpha": 0.5, "mu": 0.1},
+            "channel": {"p_e": 0.5, "c": 0.5},
+            "penalty": {"kind": "power", "exponent": 2},
+            "budget": {"R": 0.3},
+            "solver": {"epsilon": 1e-9, "weighted_epsilon": 1e-8, "l_cap": 5000,
+                       "lambda_tol": 1e-3, "tail_tol": 1e-10},
+            "sim": {"horizon": 500, "seed": 3, "n_reps": 2},
+            "validate": {"thresholds": [4]},
+        }
+        assert parse_config(data).resolved == {
+            "source": {"alpha": 0.5, "mu": 0.1},
+            "channel": {"p_e": 0.5, "c": 0.5, "r_max": None, "combining": "soft"},
+            "penalty": {"kind": "power", "exponent": 2},
+            "budget": {"R": 0.3},
+            "solver": {"epsilon": 1e-9, "weighted_epsilon": 1e-8, "l_cap": 5000,
+                       "lambda_tol": 1e-3, "tail_tol": 1e-10},
+            "sim": {"horizon": 500, "seed": 3, "n_reps": 2},
+            "validate": {"thresholds": [4]},
+        }

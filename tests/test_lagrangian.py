@@ -13,9 +13,9 @@ from aoii_harq import (
     gamma,
     optimal_threshold,
     sigma_series,
-    solve_lagrangian,
     value_at,
 )
+from aoii_harq import lagrangian
 from aoii_harq.errors import ThresholdSearchError
 from aoii_harq.lagrangian import SigmaSeries
 from aoii_harq.rvi import RviConfig, extract_thresholds, rvi_solve
@@ -190,9 +190,10 @@ class TestOptimalThreshold:
             if n0 >= 1:
                 assert g_star <= g_for_threshold(n0, lam, paper_source, paper_channel, linear_penalty) + 1e-12
 
-    def test_ceiling_reported(self, paper_source, paper_channel, linear_penalty):
+    def test_ceiling_reported(self, monkeypatch, paper_source, paper_channel, linear_penalty):
+        monkeypatch.setattr(lagrangian, "N0_CEILING", 16)
         with pytest.raises(ThresholdSearchError):
-            optimal_threshold(1e9, paper_source, paper_channel, linear_penalty, n0_ceiling=16)
+            optimal_threshold(1e9, paper_source, paper_channel, linear_penalty)
 
 
 class TestGWait:
@@ -230,20 +231,3 @@ class TestGWait:
         direct = sum((1 - source.mu) ** i * (i + 1) ** 2 for i in range(4000))
         expected = source.mu * (0.0 + (1 - source.alpha) * direct) / (source.mu + 1 - source.alpha)
         assert g_wait(source, pen) == pytest.approx(expected, rel=1e-9)
-
-
-class TestSolveLagrangian:
-    def test_waiting_regime(self, linear_penalty):
-        source = SourceModel.from_states(0.01, 32)
-        sol = solve_lagrangian(1.0, source, ChannelModel(p_e=0.5, c=0.5), linear_penalty)
-        assert sol.n0_star is None
-        assert sol.g == pytest.approx(g_wait(source, linear_penalty), abs=1e-15)
-
-    def test_threshold_regime_bundles_consistently(self, paper_source, paper_channel, linear_penalty):
-        sol = solve_lagrangian(2.0, paper_source, paper_channel, linear_penalty)
-        assert sol.n0_star == optimal_threshold(2.0, paper_source, paper_channel, linear_penalty)
-        assert sol.g == pytest.approx(
-            g_for_threshold(sol.n0_star, 2.0, paper_source, paper_channel, linear_penalty), abs=1e-12
-        )
-        assert sol.g >= 0.0
-        assert sol.sigma_sum > 0.0 and sol.truncation_depth > 0
