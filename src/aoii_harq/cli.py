@@ -170,20 +170,6 @@ def cmd_sweep(cfg: RunConfig, out: str | None) -> int:
     return EXIT_OK
 
 
-class _PerturbedChannel:
-    """Test hook: scales the decoding-failure probability by (1 + eps) on the
-    closed-form side only, to prove the cross-oracle check can fail."""
-
-    def __init__(self, base, eps: float):
-        self._base = base
-        self._eps = eps
-        self.round_length = base.round_length
-
-    def success_probability(self, r: int) -> float:
-        q = (1.0 - self._base.success_probability(r)) * (1.0 + self._eps)
-        return 1.0 - min(max(q, 0.0), 1.0 - 1e-12)
-
-
 def _checks_for_config(cfg: RunConfig) -> list[dict]:
     source, channel, penalty = cfg.source, cfg.channel, cfg.penalty
     series_cfg = cfg.solver.series_config()
@@ -226,12 +212,11 @@ def _checks_for_config(cfg: RunConfig) -> list[dict]:
     if not bounded:
         return checks
 
-    analytic_channel = channel if vset.gamma_perturb == 0.0 else _PerturbedChannel(channel, vset.gamma_perturb)
     rvi_cfg = vset.rvi_config(channel)
 
     if source.mu < source.alpha:
         for lam in vset.lambdas:
-            n_closed = lagrangian.optimal_threshold(lam, source, analytic_channel, penalty, series_cfg)
+            n_closed = lagrangian.optimal_threshold(lam, source, channel, penalty, series_cfg)
             sol = rvi.rvi_solve(lam, source, channel, penalty, rvi_cfg)
             thresholds = rvi.extract_thresholds(sol)
             n_oracle = thresholds.get(0)
@@ -252,13 +237,13 @@ def _checks_for_config(cfg: RunConfig) -> list[dict]:
             mono = float(np.diff(grid).min())
             add(f"value-increasing-delta[lam={_fmt(lam)}]", mono > 0.0, mono, 0.0)
             g_closed = lagrangian.g_for_threshold(
-                n_closed, lam, source, analytic_channel, penalty, series_cfg
+                n_closed, lam, source, channel, penalty, series_cfg
             )
             rel = abs(g_closed - sol.g) / max(abs(sol.g), 1e-30)
             add(f"g-cross-oracle[lam={_fmt(lam)}]", rel <= 1e-4, rel, 1e-4)
-        n_star = lagrangian.optimal_threshold(0.0, source, analytic_channel, penalty, series_cfg)
-        g0 = lagrangian.g_for_threshold(n_star, 0.0, source, analytic_channel, penalty, series_cfg)
-        v1 = lagrangian.value_at(1, n_star, 0.0, g0, source, analytic_channel, penalty, series_cfg)
+        n_star = lagrangian.optimal_threshold(0.0, source, channel, penalty, series_cfg)
+        g0 = lagrangian.g_for_threshold(n_star, 0.0, source, channel, penalty, series_cfg)
+        v1 = lagrangian.value_at(1, n_star, 0.0, g0, source, channel, penalty, series_cfg)
         gap = abs(g0 - (penalty(0) + (1.0 - source.alpha) * v1))
         add("identity-g-f0-V10", gap <= 1e-9, gap, 1e-9)
     else:
@@ -336,7 +321,7 @@ def main(argv=None) -> int:
         }[args.command]
         return handler(cfg, args.out)
     except ConfigError as exc:
-        print(f"config error at {exc.field}: {exc}", file=sys.stderr)
+        print(f"config error at {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except SolverError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

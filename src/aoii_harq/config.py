@@ -52,12 +52,7 @@ class SimSettings:
 
 @dataclass(frozen=True)
 class ValidateSettings:
-    """Controls for the cross-oracle validation suite.
-
-    gamma_perturb is a test hook: it scales the decoding-failure probability
-    seen by the closed-form side by (1 + gamma_perturb), so a nonzero value
-    must make the threshold cross-check report a mismatch.
-    """
+    """Controls for the cross-oracle validation suite."""
 
     lambdas: tuple[float, ...] = (0.0, 1.0, 5.0)
     thresholds: tuple[int, ...] = (1, 2, 5)
@@ -65,7 +60,6 @@ class ValidateSettings:
     r_cap: int = 64
     span_tol: float = 1e-10
     max_iters: int = 100_000
-    gamma_perturb: float = 0.0
 
     def __post_init__(self) -> None:
         RviConfig(self.delta_max, self.r_cap, self.max_iters, self.span_tol)  # checks their ranges

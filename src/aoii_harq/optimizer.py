@@ -196,7 +196,7 @@ def solve_cmdp(
     excess_high = cycle(n_high)[1] - R * cycle(n_high)[0]
     rho_high = excess_low / (excess_low - excess_high)
     predicted_rate, predicted_aoii = mixed_chain_analysis(
-        n_low, n_high, rho_high, source, channel, penalty, tail_tol
+        n_low, rho_high, source, channel, penalty, tail_tol
     )
     return CmdpSolution(
         regime=REGIME_MIXED,

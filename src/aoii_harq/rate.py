@@ -115,7 +115,6 @@ def achieved_rate(n0: int, source, channel, tail_tol: float = 1e-12) -> RateAnal
 
 def mixed_chain_analysis(
     n_low: int,
-    n_high: int | None,
     rho_high: float,
     source,
     channel,
@@ -125,24 +124,20 @@ def mixed_chain_analysis(
     """Exact long-run (transmission rate, average penalty) of the per-slot
     randomized two-threshold policy.
 
-    Each slot the policy draws threshold n_high with probability rho_high,
-    n_low otherwise, and transmits iff the AoII reaches the drawn value.  The
-    thresholds must be adjacent, so the draw matters only at AoII = n_low,
-    which a renewal cycle visits at most once: each cycle is a threshold-n_high
-    cycle with probability rho_high and a threshold-n_low cycle otherwise, and
-    the cycle sums (L, T, C) mix linearly.  The sigma series is cut at its
-    first term below tail_tol.
+    Each slot the policy draws threshold n_high = n_low + 1 with probability
+    rho_high, n_low otherwise, and transmits iff the AoII reaches the drawn
+    value.  The thresholds are adjacent, so the draw matters only at
+    AoII = n_low, which a renewal cycle visits at most once: each cycle is a
+    threshold-n_high cycle with probability rho_high and a threshold-n_low
+    cycle otherwise, and the cycle sums (L, T, C) mix linearly.  The sigma
+    series is cut at its first term below tail_tol.
     """
     if n_low < 1:
         raise ValueError(f"n_low must be >= 1, got {n_low}")
-    if n_high is None:
-        n_high = n_low + 1
-    if n_high != n_low + 1:
-        raise ValueError(f"thresholds must be adjacent, got {(n_low, n_high)}")
     if not 0.0 <= rho_high <= 1.0:
         raise ValueError(f"rho_high must lie in [0, 1], got {rho_high}")
     series = SigmaSeries(source, channel, SeriesConfig(epsilon=tail_tol))
     low = cycle_sums(n_low, source, channel, penalty, series=series)
-    high = cycle_sums(n_high, source, channel, penalty, series=series)
+    high = cycle_sums(n_low + 1, source, channel, penalty, series=series)
     length, transmissions, cost = (rho_high * h + (1.0 - rho_high) * l for h, l in zip(high, low))
     return transmissions / length, cost / length

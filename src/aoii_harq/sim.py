@@ -1,7 +1,9 @@
 """Seeded slotted Monte Carlo of source + HARQ channel + scheduling policy.
 
+Every policy is a per-slot threshold schedule: slot t transmits iff the AoII
+is at least the schedule's t-th threshold (0 transmits always, inf never).
 One trajectory consumes pre-drawn uniform blocks from a single PCG64 stream
-(kernel draws first, then per-slot policy draws for randomized policies), so
+(the kernel's uniforms first, then whatever the policy's schedule draws), so
 identical inputs and seed give bit-identical reports.  Replication seeds are
 derived with numpy's SeedSequence spawn keys, which are collision-free and
 independent of execution order.
@@ -10,17 +12,16 @@ independent of execution order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, sqrt
+from itertools import cycle, islice, repeat
+from math import ceil, inf, sqrt
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class NeverTransmit:
-    randomized = False
-
-    def decide(self, delta: int, r: int, slot: int, u: float | None = None) -> bool:
-        return False
+    def schedule(self, rng, horizon: int):
+        return repeat(inf, horizon)
 
 
 @dataclass(frozen=True)
@@ -28,14 +29,13 @@ class FixedThreshold:
     """Transmit exactly when the AoII reaches n0."""
 
     n0: int
-    randomized = False
 
     def __post_init__(self) -> None:
         if self.n0 < 1:
             raise ValueError(f"threshold must be >= 1, got {self.n0}")
 
-    def decide(self, delta: int, r: int, slot: int, u: float | None = None) -> bool:
-        return delta >= self.n0
+    def schedule(self, rng, horizon: int):
+        return repeat(self.n0, horizon)
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,6 @@ class MixedThreshold:
 
     n_low: int
     rho_high: float
-    randomized = True
 
     def __post_init__(self) -> None:
         if self.n_low < 1:
@@ -58,9 +57,8 @@ class MixedThreshold:
     def n_high(self) -> int:
         return self.n_low + 1
 
-    def decide(self, delta: int, r: int, slot: int, u: float | None = None) -> bool:
-        threshold = self.n_high if u < self.rho_high else self.n_low
-        return delta >= threshold
+    def schedule(self, rng, horizon: int):
+        return np.where(rng.random(horizon) < self.rho_high, self.n_high, self.n_low).tolist()
 
 
 @dataclass(frozen=True)
@@ -69,7 +67,6 @@ class Periodic:
     of the state (slot 0 transmits)."""
 
     rate_budget: float
-    randomized = False
 
     def __post_init__(self) -> None:
         if not 0.0 < self.rate_budget <= 1.0:
@@ -79,8 +76,8 @@ class Periodic:
     def period(self) -> int:
         return ceil(1.0 / self.rate_budget)
 
-    def decide(self, delta: int, r: int, slot: int, u: float | None = None) -> bool:
-        return slot % self.period == 0
+    def schedule(self, rng, horizon: int):
+        return islice(cycle((0,) + (inf,) * (self.period - 1)), horizon)
 
 
 @dataclass(frozen=True)
@@ -122,8 +119,10 @@ def simulate(
 ):
     """Run one trajectory from (0, 0) and report time averages.
 
-    The per-slot cost is the pre-transition penalty f(delta_t), slot 0
-    included; standard errors use batch means over 100 contiguous batches.
+    policy.schedule(rng, horizon) yields the per-slot thresholds; it is called
+    after the kernel's uniforms are drawn from rng.  The per-slot cost is the
+    pre-transition penalty f(delta_t), slot 0 included; standard errors use
+    batch means over 100 contiguous batches.
     With keep_trajectory=True returns (report, (deltas, rs, actions)) where
     the arrays hold the pre-transition state and the action of every slot.
     """
@@ -131,7 +130,6 @@ def simulate(
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     rng = np.random.default_rng(seed)
     u_step = rng.random(horizon)
-    u_policy = rng.random(horizon) if getattr(policy, "randomized", False) else None
 
     alpha, mu = source.alpha, source.mu
 
@@ -154,57 +152,20 @@ def simulate(
 
     grow_cells(64)
 
-    f_table = penalty.evaluate(np.arange(1024, dtype=float))
-
+    # holds the age of each slot until the loop ends, then its penalty
     costs = np.empty(horizon)
     tx_flags = np.zeros(horizon, dtype=np.uint8)
     if keep_trajectory:
-        traj_delta = np.empty(horizon, dtype=np.int64)
         traj_r = np.empty(horizon, dtype=np.int32)
-
-    # Inline fast paths for the shipped policies; anything else goes through
-    # the generic decide() contract.
-    kind = "generic"
-    n0 = nlow = nhigh = period = 0
-    rho = 0.0
-    if isinstance(policy, FixedThreshold):
-        kind, n0 = "threshold", policy.n0
-    elif isinstance(policy, NeverTransmit):
-        kind = "never"
-    elif isinstance(policy, MixedThreshold):
-        kind, nlow, nhigh, rho = "mixed", policy.n_low, policy.n_high, policy.rho_high
-    elif isinstance(policy, Periodic):
-        kind, period = "periodic", policy.period
 
     delta = 0
     r = 0
-    max_delta = 0
     decoded = 0
-    transmissions = 0
-    for t in range(horizon):
-        if delta >= f_table.size:
-            f_table = penalty.evaluate(np.arange(2 * delta, dtype=float))
-        costs[t] = f_table[delta]
-        if delta > max_delta:
-            max_delta = delta
+    for t, (u, threshold) in enumerate(zip(u_step, policy.schedule(rng, horizon))):
+        costs[t] = delta
         if keep_trajectory:
-            traj_delta[t] = delta
             traj_r[t] = r
-
-        if kind == "threshold":
-            act = delta >= n0
-        elif kind == "never":
-            act = False
-        elif kind == "mixed":
-            act = delta >= (nhigh if u_policy[t] < rho else nlow)
-        elif kind == "periodic":
-            act = t % period == 0
-        else:
-            act = policy.decide(delta, r, t, None if u_policy is None else u_policy[t])
-
-        u = u_step[t]
-        if act:
-            transmissions += 1
+        if delta >= threshold:
             tx_flags[t] = 1
             if r >= c1.size:
                 grow_cells(r + 1)
@@ -235,14 +196,18 @@ def simulate(
             else:
                 delta, r = (0, 0) if u < mu else (delta + 1, 0)
 
+    max_delta_seen = int(costs.max())
+    if keep_trajectory:
+        traj_delta = costs.astype(np.int64)
+    costs = penalty.evaluate(costs)
     report = SimReport(
         horizon=horizon,
         seed=seed,
         avg_aoii=float(costs.mean()),
-        avg_rate=transmissions / horizon,
+        avg_rate=int(tx_flags.sum()) / horizon,
         aoii_stderr=_batch_stderr(costs),
         rate_stderr=_batch_stderr(tx_flags.astype(float)),
-        max_delta_seen=max_delta,
+        max_delta_seen=max_delta_seen,
         decode_successes=decoded,
     )
     if keep_trajectory:

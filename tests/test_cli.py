@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from aoii_harq import achieved_rate, FixedThreshold, g_wait, PenaltySpec, simulate, SourceModel
+from aoii_harq import lagrangian
 from aoii_harq.cli import main
 from aoii_harq.config import load_config, parse_config
 
@@ -199,11 +200,12 @@ class TestValidateCommand:
         names = {c["name"] for c in payload["checks"]}
         assert "rvi-all-wait" in names and "gwait-cross-oracle" in names
 
-    def test_perturbed_gamma_fails_and_exits_one(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path,
-            validate={"lambdas": [5.0], "thresholds": [1], "gamma_perturb": 0.5, "delta_max": 300},
-        )
+    def test_perturbed_gamma_fails_and_exits_one(self, tmp_path, capsys, monkeypatch):
+        # the closed-form side answers one threshold too high, so the
+        # cross-oracle checks against value iteration must fail
+        exact = lagrangian.optimal_threshold
+        monkeypatch.setattr(lagrangian, "optimal_threshold", lambda *args: exact(*args) + 1)
+        cfg = write_config(tmp_path, validate={"lambdas": [5.0], "thresholds": [1], "delta_max": 300})
         assert main(["validate", "--config", cfg]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["passed"] is False
@@ -248,6 +250,7 @@ class TestConfigErrors:
         assert main(["simulate", "--config", cfg] + flags) == 2
         err = capsys.readouterr().err
         assert f"config error at {field}: " in err
+        assert err.count(f"{field}: ") == 1
         assert word in err
 
 

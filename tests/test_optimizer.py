@@ -74,7 +74,7 @@ class TestSolveCmdp:
         sol = solve_cmdp(budget, paper_source, paper_channel, linear_penalty)
         seed_rho = (sol.rate_low - budget) / (sol.rate_low - sol.rate_high)
         rate_at_seed, _ = mixed_chain_analysis(
-            sol.n_low, sol.n_high, seed_rho, paper_source, paper_channel, linear_penalty
+            sol.n_low, seed_rho, paper_source, paper_channel, linear_penalty
         )
         assert abs(rate_at_seed - budget) > 1e-6
         assert abs(sol.predicted_rate - budget) <= 1e-9

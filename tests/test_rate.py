@@ -129,7 +129,7 @@ class TestMixedChain:
     def test_degenerate_weights_match_pure_analyses(self, paper_source, paper_channel, linear_penalty):
         for n_low, rho, n_pure in [(3, 1.0, 4), (3, 0.0, 3)]:
             rate_mixed, aoii_mixed = mixed_chain_analysis(
-                n_low, None, rho, paper_source, paper_channel, linear_penalty
+                n_low, rho, paper_source, paper_channel, linear_penalty
             )
             pure = achieved_rate(n_pure, paper_source, paper_channel)
             assert rate_mixed == pytest.approx(pure.rate, abs=1e-9)
@@ -142,7 +142,7 @@ class TestMixedChain:
         rates = []
         for rho in (0.25, 0.5, 0.75):
             rate_mixed, _ = mixed_chain_analysis(
-                3, 4, rho, paper_source, paper_channel, linear_penalty
+                3, rho, paper_source, paper_channel, linear_penalty
             )
             assert rate_hi < rate_mixed < rate_lo
             rates.append(rate_mixed)
@@ -151,7 +151,7 @@ class TestMixedChain:
     def test_interior_weight_against_brute_simulation(self, paper_source, paper_channel, linear_penalty):
         rho = 0.6
         rate_mixed, aoii_mixed = mixed_chain_analysis(
-            2, 3, rho, paper_source, paper_channel, linear_penalty
+            2, rho, paper_source, paper_channel, linear_penalty
         )
 
         def decide(delta, r, t, rng):
@@ -171,14 +171,14 @@ class TestMixedChain:
         g_hi = g_for_threshold(4, 0.0, paper_source, paper_channel, linear_penalty)
         lo, hi = min(g_lo, g_hi), max(g_lo, g_hi)
         for rho in (0.2, 0.5, 0.8):
-            _, aoii = mixed_chain_analysis(3, 4, rho, paper_source, paper_channel, linear_penalty)
+            _, aoii = mixed_chain_analysis(3, rho, paper_source, paper_channel, linear_penalty)
             assert lo - 1e-9 <= aoii <= hi + 1e-9
 
     @pytest.mark.parametrize("n_low, rho", [(2, 0.6), (10, 0.3)])
     def test_matches_power_iteration(self, paper_source, paper_channel, linear_penalty, n_low, rho):
         # transmit never below n_low, w.p. 1 - rho at n_low, always above it
         rate_mixed, aoii_mixed = mixed_chain_analysis(
-            n_low, n_low + 1, rho, paper_source, paper_channel, linear_penalty
+            n_low, rho, paper_source, paper_channel, linear_penalty
         )
 
         def transmit_prob(delta):
@@ -194,14 +194,8 @@ class TestMixedChain:
         assert abs(rate - rate_mixed) <= 1e-10
         assert abs(aoii - aoii_mixed) <= 1e-10 * aoii
 
-    def test_requires_adjacent_thresholds(self, paper_source, paper_channel, linear_penalty):
-        with pytest.raises(ValueError):
-            mixed_chain_analysis(3, 5, 0.5, paper_source, paper_channel, linear_penalty)
-
     def test_validates_arguments(self, paper_source, paper_channel, linear_penalty):
         with pytest.raises(ValueError):
-            mixed_chain_analysis(0, None, 0.5, paper_source, paper_channel, linear_penalty)
+            mixed_chain_analysis(0, 0.5, paper_source, paper_channel, linear_penalty)
         with pytest.raises(ValueError):
-            mixed_chain_analysis(3, 3, 0.5, paper_source, paper_channel, linear_penalty)
-        with pytest.raises(ValueError):
-            mixed_chain_analysis(3, 4, 1.5, paper_source, paper_channel, linear_penalty)
+            mixed_chain_analysis(3, 1.5, paper_source, paper_channel, linear_penalty)
