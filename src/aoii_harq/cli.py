@@ -256,10 +256,10 @@ def _checks_for_config(cfg: RunConfig) -> list[dict]:
 
     for n0 in vset.thresholds:
         analysis = rate.achieved_rate(n0, source, channel, cfg.solver.tail_tol)
-        mass = sum(p for (d, _), p in analysis.stationary.items() if d >= n0)
-        gap = abs(analysis.rate - mass)
+        deltas, _, probs = analysis.stationary_arrays
+        gap = abs(analysis.rate - float(probs[deltas >= n0].sum()))
         add(f"rate-vs-stationary-mass[n0={n0}]", gap <= 1e-9, gap, 1e-9)
-        norm_gap = abs(sum(analysis.stationary.values()) + analysis.truncation_mass - 1.0)
+        norm_gap = abs(float(probs.sum()) + analysis.truncation_mass - 1.0)
         add(f"stationary-normalization[n0={n0}]", norm_gap <= 1e-9, norm_gap, 1e-9)
         report = sim.simulate(
             sim.FixedThreshold(n0), source, channel, penalty, cfg.sim.horizon, cfg.sim.seed

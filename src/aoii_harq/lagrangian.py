@@ -102,19 +102,34 @@ class SigmaSeries:
     def values(self) -> np.ndarray:
         return np.array(self._sigma)
 
-    def _first_depth(self, done) -> int:
-        l = 0
-        while True:
-            while l > self.depth:
-                self.step()
-            if done(l, self._sigma[l]):
-                return l
-            l += 1
+    def _first_depth(self, delta0: int = 0, penalty=None) -> int:
+        """First l with sigma_l < epsilon and, given a penalty, also
+        f(delta0 + l) * sigma_l < weighted_epsilon.
+
+        The terms already computed are tested as one array; past them the
+        series steps one term at a time, only as far as the cut.
+        """
+        cfg = self._cfg
+
+        def cut(start: int) -> int | None:
+            sig = np.array(self._sigma[start:])
+            ok = sig < cfg.epsilon
+            if penalty is not None:
+                ls = np.arange(start, start + sig.size, dtype=float)
+                ok &= penalty.evaluate(delta0 + ls) * sig < cfg.weighted_epsilon
+            hits = np.flatnonzero(ok)
+            return start + int(hits[0]) if hits.size else None
+
+        depth = cut(0)
+        while depth is None:
+            self.step()
+            if self._sigma[-1] < cfg.epsilon:
+                depth = cut(self.depth)
+        return depth
 
     def raw_depth(self) -> int:
         """First l with sigma_l < epsilon."""
-        eps = self._cfg.epsilon
-        return self._first_depth(lambda l, s: s < eps)
+        return self._first_depth()
 
     def sums_for(self, delta0: int, penalty) -> tuple[float, float, int]:
         """(S, W, depth): S = sum_l sigma_l and W = sum_l f(delta0+l) sigma_l.
@@ -123,10 +138,7 @@ class SigmaSeries:
         f(delta0 + l) * sigma_l < weighted_epsilon; the depth is a function of
         (delta0, penalty, cfg) only, so repeated calls are consistent.
         """
-        cfg = self._cfg
-        depth = self._first_depth(
-            lambda l, s: s < cfg.epsilon and penalty(delta0 + l) * s < cfg.weighted_epsilon
-        )
+        depth = self._first_depth(delta0, penalty)
         sig = np.array(self._sigma[: depth + 1])
         weights = penalty.evaluate(delta0 + np.arange(depth + 1, dtype=float))
         return float(sig.sum()), float(weights @ sig), depth

@@ -68,8 +68,10 @@ class RateAnalysis:
 
     The sigma series is cut at ``depth``, its first term below the tail
     tolerance.  ``stationary`` maps (delta, r) to probability over the ramp
-    and the burst layers h < depth; it is built on first read.  The cut
-    layer's mass is ``truncation_mass``, so the map plus it sums to one.
+    and the burst layers h < depth, and ``stationary_arrays`` holds the same
+    law as (delta, r, probability) arrays in the same order; each is built on
+    first read.  The cut layer's mass is ``truncation_mass``, so the law plus
+    it sums to one.
     """
 
     n0: int
@@ -81,18 +83,23 @@ class RateAnalysis:
     channel: object = field(repr=False, compare=False)
 
     @cached_property
-    def stationary(self) -> dict[tuple[int, int], float]:
+    def stationary_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         alpha, mu = self.source.alpha, self.source.mu
-        law = {(0, 0): self.q00}
-        for k in range(1, self.n0):
-            law[(k, 0)] = self.q00 * (1.0 - alpha) * (1.0 - mu) ** (k - 1)
+        ramp = [self.q00 * (1.0 - alpha) * (1.0 - mu) ** (k - 1) for k in range(1, self.n0)]
         table = m_table(self.source, self.channel, max(self.depth - 1, 0))
-        h, r = np.tril_indices(self.depth)
+        # counts past the underflow of the gamma1 prefix carry no mass
+        h, r = np.tril_indices(self.depth, m=int(np.count_nonzero(table.gamma1_prefix)))
         scale = self.q00 * (1.0 - alpha) * (1.0 - mu) ** (self.n0 - 1)
         mass = scale * table.m0[h - r] * table.gamma1_prefix[r]
         keep = mass > 0.0
-        law.update(zip(zip((self.n0 + h[keep]).tolist(), r[keep].tolist()), mass[keep].tolist()))
-        return law
+        deltas = np.concatenate((np.arange(self.n0), self.n0 + h[keep]))
+        rs = np.concatenate((np.zeros(self.n0, dtype=r.dtype), r[keep]))
+        return deltas, rs, np.concatenate(([self.q00], ramp, mass[keep]))
+
+    @cached_property
+    def stationary(self) -> dict[tuple[int, int], float]:
+        deltas, rs, probs = self.stationary_arrays
+        return dict(zip(zip(deltas.tolist(), rs.tolist()), probs.tolist()))
 
 
 def achieved_rate(n0: int, source, channel, tail_tol: float = 1e-12) -> RateAnalysis:

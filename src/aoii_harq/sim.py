@@ -1,27 +1,49 @@
 """Seeded slotted Monte Carlo of source + HARQ channel + scheduling policy.
 
-Every policy is a per-slot threshold schedule: slot t transmits iff the AoII
-is at least the schedule's t-th threshold (0 transmits always, inf never).
-One trajectory consumes pre-drawn uniform blocks from a single PCG64 stream
-(the kernel's uniforms first, then whatever the policy's schedule draws), so
-identical inputs and seed give bit-identical reports.  Replication seeds are
-derived with numpy's SeedSequence spawn keys, which are collision-free and
-independent of execution order.
+Two exact samplers, both numpy and both working in fixed-size windows of
+slots, so memory does not grow with the horizon:
+
+- Threshold policies (never-transmit, fixed, per-slot mixed, and periodic
+  with period 1) regenerate at (0, 0).  Every renewal cycle is a dwell at
+  AoII 0 of Geom(1 - alpha) slots, a wait ramp AoII 1, 2, ... that ends
+  when the source wanders back (probability mu per slot) or when the policy
+  starts transmitting, and then an HARQ burst that lasts until the AoII
+  resets.  Cycles are drawn in blocks, each block's bursts as one array of
+  runs of failed transmissions (see _Bursts), and a window's per-slot AoII
+  follows from the cycle boundaries (Crane and Iglehart 1975; Asmussen and
+  Glynn, Stochastic Simulation, ch. IV).  The last cycle is cut at the
+  horizon.
+- Periodic with period >= 2 never transmits in two consecutive slots, so
+  every transmission goes out with r = 0 and "AoII = 0" is a two-state chain
+  whose per-slot law depends only on whether the slot transmits.  Each slot's
+  uniform fixes the map from this slot's indicator to the next one's
+  (constant, identity or flip), and the composition is a last-constant index
+  (maximum.accumulate) plus a flip parity (cumsum).  The AoII is then the
+  distance to the last zero.
+
+The per-slot cost is the pre-transition penalty f(delta_t), slot 0 included.
+One PCG64 stream per trajectory, drawn in a fixed order, so identical inputs
+and seed give bit-identical reports.  Replication seeds are derived with
+numpy's SeedSequence spawn keys, which are collision-free and independent of
+execution order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import cycle, islice, repeat
-from math import ceil, inf, sqrt
+from math import ceil, sqrt
 
 import numpy as np
+
+_SLOTS = 4096  # slots per window
+_BLOCK = 8192  # slots a block of renewal cycles aims to cover
+_FAR = 1 << 62  # burst-start AoII of a cycle without a burst
 
 
 @dataclass(frozen=True)
 class NeverTransmit:
-    def schedule(self, rng, horizon: int):
-        return repeat(inf, horizon)
+    def waits(self, rng, n: int) -> np.ndarray:
+        return np.full(n, _FAR)
 
 
 @dataclass(frozen=True)
@@ -34,8 +56,8 @@ class FixedThreshold:
         if self.n0 < 1:
             raise ValueError(f"threshold must be >= 1, got {self.n0}")
 
-    def schedule(self, rng, horizon: int):
-        return repeat(self.n0, horizon)
+    def waits(self, rng, n: int) -> np.ndarray:
+        return np.full(n, self.n0 - 1)
 
 
 @dataclass(frozen=True)
@@ -57,8 +79,9 @@ class MixedThreshold:
     def n_high(self) -> int:
         return self.n_low + 1
 
-    def schedule(self, rng, horizon: int):
-        return np.where(rng.random(horizon) < self.rho_high, self.n_high, self.n_low).tolist()
+    def waits(self, rng, n: int) -> np.ndarray:
+        # the draw matters only at AoII n_low, which a cycle reaches once
+        return self.n_low - 1 + (rng.random(n) < self.rho_high)
 
 
 @dataclass(frozen=True)
@@ -75,9 +98,6 @@ class Periodic:
     @property
     def period(self) -> int:
         return ceil(1.0 / self.rate_budget)
-
-    def schedule(self, rng, horizon: int):
-        return islice(cycle((0,) + (inf,) * (self.period - 1)), horizon)
 
 
 @dataclass(frozen=True)
@@ -98,13 +118,206 @@ def split_seed(base_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _batch_stderr(samples: np.ndarray) -> float:
-    n_batches = min(100, samples.size)
-    if n_batches < 2:
+def _cuts(source, channel, rs) -> np.ndarray:
+    """Cumulative outcome cuts of a transmit slot at AoII > 0, one column per
+    count in rs: [alpha*p | mu*(1-p) | (1-alpha)*p | alpha*(1-p) | rest], i.e.
+    decoded and reset, failed and reset, decoded and stale, failed with the
+    count kept (r + 1), failed with the count restarted."""
+    alpha, mu = source.alpha, source.mu
+    p = np.array([channel.success_probability(r) for r in rs], dtype=float)
+    c1 = alpha * p
+    c2 = c1 + mu * (1.0 - p)
+    c3 = c2 + (1.0 - alpha) * p
+    return np.array([c1, c2, c3, c3 + alpha * (1.0 - p)])
+
+
+class _Bursts:
+    """HARQ bursts from an AoII above 0 with count 0, drawn as runs.
+
+    A run starts at count 0 and keeps the count (r -> r + 1: failed with the
+    source unchanged, probability gamma1(r)) for K - 1 slots, so
+    P(K > k) = prod_{j<k} gamma1(j); its K-th slot takes one of the other
+    four outcomes of _cuts at r = K - 1.  A burst is the runs up to and
+    including the first one that ends in a reset.  Per-count arrays grow on
+    demand, so every count a run can reach is covered.
+    """
+
+    def __init__(self, source, channel):
+        self._source, self._channel = source, channel
+        self._grow(64)
+
+    def _grow(self, n: int) -> None:
+        cuts = _cuts(self._source, self._channel, range(n))
+        keep = cuts[3] - cuts[2]
+        self._cuts = cuts[:3]
+        self._ending = 1.0 - keep  # mass of the four run-ending outcomes
+        self._survival = np.cumprod(keep)[::-1]  # P(K > k) for k = n, ..., 1
+
+    def draw(self, rng, n: int):
+        """(lengths, r, decoded) of n bursts: per burst its slot count, and per
+        slot, burst after burst, the count before it and whether it decoded."""
+        if n == 0:
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
+        runs, resets, decodes = [], [], []
+        found = drawn = 0
+        m = n + 16
+        while found < n:
+            u = rng.random(m)
+            while u.min() < self._survival[0]:
+                self._grow(2 * self._survival.size)
+            k = 1 + self._survival.size - np.searchsorted(self._survival, u, "right")
+            end = rng.random(m) * self._ending[k - 1]
+            c1, c2, c3 = self._cuts[:, k - 1]
+            reset = end < c2
+            runs.append(k)
+            resets.append(reset)
+            decodes.append((end < c1) | ((end >= c2) & (end < c3)))
+            found += int(np.count_nonzero(reset))
+            drawn += m
+            m = (n - found) * drawn // max(found, 1) + 16
+        last = np.flatnonzero(np.concatenate(resets))[:n]
+        k = np.concatenate(runs)[: last[-1] + 1]
+        run_end = np.cumsum(k)
+        lengths = np.diff(run_end[last], prepend=0)
+        r = np.arange(run_end[-1]) - np.repeat(run_end - k, k)
+        decoded = np.zeros(run_end[-1], dtype=bool)
+        decoded[run_end - 1] = np.concatenate(decodes)[: k.size]
+        return lengths, r, decoded
+
+
+def _cycle_slots(rng, waits, dwell_tx, source, channel, lengths):
+    """Regenerative sampler: per window of the given lengths, yields the
+    slots' (delta, r, tx, decodes).
+
+    waits(rng, n) gives each cycle's wait slots before its burst (_FAR:
+    none); dwell_tx makes the AoII-0 slots transmit too (period 1).
+    """
+    alpha, mu = source.alpha, source.mu
+    p0 = channel.success_probability(0)
+    bursts = _Bursts(source, channel)
+    blocks = []
+    drawn = 0  # slots covered by the drawn cycles
+    n_cycles = 16
+    t0 = 0
+    for n in lengths:
+        t1 = t0 + n
+        while drawn < t1:
+            before = drawn
+            dwell = rng.geometric(1.0 - alpha, n_cycles)
+            need = waits(rng, n_cycles)
+            back = rng.geometric(mu, n_cycles)  # wait slot at which the source returns
+            burst = back > need
+            blen, rs, decoded = bursts.draw(rng, int(np.count_nonzero(burst)))
+            span = dwell + np.where(burst, need, back)
+            span[burst] += blen
+            first = np.zeros(n_cycles, dtype=np.int64)
+            first[burst] = np.cumsum(blen) - blen
+            ends = drawn + np.cumsum(span)
+            starts = ends - span
+            blocks.append((
+                starts, ends, starts + dwell - 1, np.where(burst, need + 1, _FAR), first, rs, decoded,
+            ))
+            drawn = int(ends[-1])
+            # burst arrays grow with the slots a block covers, so aim at _BLOCK
+            n_cycles = max(16, min(2 * n_cycles, n_cycles * _BLOCK // (drawn - before)))
+        while blocks[0][1][-1] <= t0:
+            blocks.pop(0)
+        parts = []
+        a = t0
+        for starts, ends, lead, frm, first, rs, decoded in blocks:
+            if a == t1:
+                break
+            i0 = int(np.searchsorted(starts, a, "right")) - 1
+            i1 = int(np.searchsorted(starts, t1, "left"))
+            seg = np.minimum(ends[i0:i1], t1) - np.maximum(starts[i0:i1], a)
+            cyc = np.repeat(np.arange(i0, i1), seg)
+            delta = np.maximum(np.arange(a, a + cyc.size) - lead[cyc], 0)
+            a += cyc.size
+            at = delta - frm[cyc]
+            in_burst = at >= 0
+            pos = (first[cyc] + at)[in_burst]
+            r = np.zeros(cyc.size, dtype=np.int32)
+            r[in_burst] = rs[pos]
+            parts.append((delta, r, in_burst, int(np.count_nonzero(decoded[pos]))))
+        delta, r, tx = (np.concatenate([p[i] for p in parts]) for i in range(3))
+        decodes = sum(p[3] for p in parts)
+        if dwell_tx:
+            dwelling = delta == 0
+            tx |= dwelling
+            decodes += int(rng.binomial(np.count_nonzero(dwelling), p0))
+        yield delta, r, tx, decodes
+        t0 = t1
+
+
+def _periodic_slots(rng, period, source, channel, lengths):
+    """Reset-indicator scan for a period >= 2: per window of the given lengths,
+    yields the slots' (delta, r, tx, decodes).
+
+    One uniform per slot.  At AoII 0 the next AoII is 0 iff u < alpha (and a
+    transmission decodes iff u < alpha*p or alpha <= u < alpha + (1-alpha)*p);
+    at AoII > 0 it is 0 iff u < mu on a wait slot, u < cut 2 of _cuts on a
+    transmit slot.
+    """
+    alpha, mu = source.alpha, source.mu
+    c1, c2, c3, c4 = _cuts(source, channel, [0])[:, 0]
+    p0 = channel.success_probability(0)
+    zero, last_zero, r_in = True, 0, 0  # state entering the window
+    t0 = 0
+    for n in lengths:
+        t = np.arange(t0, t0 + n)
+        u = rng.random(n)
+        tx = np.zeros(n, dtype=bool)
+        on = slice((-t0) % period, None, period)
+        tx[on] = True
+        from_zero = u < alpha
+        from_stale = u < mu
+        from_stale[on] = u[on] < c2
+        # slot j maps this slot's indicator to the next one's: constant when
+        # both branches agree, otherwise identity (from_zero) or flip
+        const = from_zero == from_stale
+        last = np.maximum.accumulate(np.where(const, np.arange(n), -1))
+        flips = np.cumsum(~const & from_stale)
+        seen = last >= 0
+        anchor = np.maximum(last, 0)
+        base = np.where(seen, from_zero[anchor], zero)
+        nxt = base ^ ((flips - np.where(seen, flips[anchor], 0)) & 1).astype(bool)
+        z = np.concatenate(([zero], nxt[:-1]))
+        delta = t - np.maximum(np.maximum.accumulate(np.where(z, t, -1)), last_zero)
+        ut, zt = u[on], z[on]
+        decodes = np.where(
+            zt,
+            (ut < alpha * p0) | ((ut >= alpha) & (ut < alpha + (1.0 - alpha) * p0)),
+            (ut < c1) | ((ut >= c2) & (ut < c3)),
+        )
+        kept = np.zeros(n, dtype=np.int32)
+        kept[on] = ~zt & (ut >= c3) & (ut < c4)
+        r = np.concatenate(([r_in], kept[:-1])).astype(np.int32)
+        yield delta, r, tx, int(np.count_nonzero(decodes))
+        zero, last_zero, r_in = bool(nxt[-1]), int(t[-1] - delta[-1]), int(kept[-1])
+        t0 += n
+
+
+def _windows(horizon: int, n_batches: int, size: int):
+    """(first batch, batches, batch slots) per window: windows hold whole
+    batches, or pieces of one when a batch is longer than _SLOTS; the slots
+    past the last whole batch form a window of their own (batch n_batches)."""
+    if size <= _SLOTS:
+        per = _SLOTS // size
+        for b in range(0, n_batches, per):
+            yield b, min(per, n_batches - b), size
+    else:
+        for b in range(n_batches):
+            for lo in range(0, size, _SLOTS):
+                yield b, 1, min(_SLOTS, size - lo)
+    if horizon > n_batches * size:
+        yield n_batches, 1, horizon - n_batches * size
+
+
+def _batch_stderr(sums: np.ndarray, size: int) -> float:
+    if sums.size < 2:
         return 0.0
-    size = samples.size // n_batches
-    means = samples[: n_batches * size].reshape(n_batches, size).mean(axis=1)
-    return float(means.std(ddof=1) / sqrt(n_batches))
+    means = sums / size
+    return float(means.std(ddof=1) / sqrt(sums.size))
 
 
 def simulate(
@@ -119,8 +332,8 @@ def simulate(
 ):
     """Run one trajectory from (0, 0) and report time averages.
 
-    policy.schedule(rng, horizon) yields the per-slot thresholds; it is called
-    after the kernel's uniforms are drawn from rng.  The per-slot cost is the
+    Periodic policies with period >= 2 use the reset-indicator scan, all
+    others the regenerative cycle sampler.  The per-slot cost is the
     pre-transition penalty f(delta_t), slot 0 included; standard errors use
     batch means over 100 contiguous batches.
     With keep_trajectory=True returns (report, (deltas, rs, actions)) where
@@ -129,89 +342,52 @@ def simulate(
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     rng = np.random.default_rng(seed)
-    u_step = rng.random(horizon)
+    n_batches = min(100, horizon)
+    size = horizon // n_batches
+    plan = list(_windows(horizon, n_batches, size))
+    lengths = (rows * cols for _, rows, cols in plan)
+    if isinstance(policy, Periodic) and policy.period > 1:
+        slots = _periodic_slots(rng, policy.period, source, channel, lengths)
+    elif isinstance(policy, Periodic):
+        # period 1: threshold-1 cycles whose AoII-0 slots transmit too
+        slots = _cycle_slots(rng, FixedThreshold(1).waits, True, source, channel, lengths)
+    else:
+        slots = _cycle_slots(rng, policy.waits, False, source, channel, lengths)
 
-    alpha, mu = source.alpha, source.mu
-
-    # Per-count transmit cells, grown on demand: cumulative cuts of
-    # [alpha*p | (1-alpha)*p | alpha*(1-p) | mu*(1-p) | rest] so one uniform
-    # decides the decode outcome and the source move jointly.
-    c1 = np.empty(0)
-    c2 = np.empty(0)
-    c3 = np.empty(0)
-    c4 = np.empty(0)
-
-    def grow_cells(n: int) -> None:
-        nonlocal c1, c2, c3, c4
-        size = max(n, 2 * c1.size, 64)
-        p = np.array([channel.success_probability(r) for r in range(size)])
-        c1 = alpha * p
-        c2 = p
-        c3 = p + alpha * (1.0 - p)
-        c4 = c3 + mu * (1.0 - p)
-
-    grow_cells(64)
-
-    # holds the age of each slot until the loop ends, then its penalty
-    costs = np.empty(horizon)
-    tx_flags = np.zeros(horizon, dtype=np.uint8)
-    if keep_trajectory:
-        traj_r = np.empty(horizon, dtype=np.int32)
-
-    delta = 0
-    r = 0
+    # per batch; the last bin holds the slots past the last whole batch
+    cost_sums = np.zeros(n_batches + 1)
+    tx_sums = np.zeros(n_batches + 1)
+    max_delta = 0
     decoded = 0
-    for t, (u, threshold) in enumerate(zip(u_step, policy.schedule(rng, horizon))):
-        costs[t] = delta
-        if keep_trajectory:
-            traj_r[t] = r
-        if delta >= threshold:
-            tx_flags[t] = 1
-            if r >= c1.size:
-                grow_cells(r + 1)
-            if delta == 0:
-                # decode outcome cells at r = 0: success iff u < p(0)
-                if u < c2[0]:
-                    decoded += 1
-                    delta = 0 if u < c1[0] else 1
-                else:
-                    rest = 1.0 - c2[0]
-                    delta = 0 if u < c2[0] + alpha * rest else 1
-                r = 0
-            elif u < c1[r]:
-                decoded += 1
-                delta, r = 0, 0
-            elif u < c2[r]:
-                decoded += 1
-                delta, r = delta + 1, 0
-            elif u < c3[r]:
-                delta, r = delta + 1, r + 1
-            elif u < c4[r]:
-                delta, r = 0, 0
-            else:
-                delta, r = delta + 1, 0
-        else:
-            if delta == 0:
-                delta = 0 if u < alpha else 1
-            else:
-                delta, r = (0, 0) if u < mu else (delta + 1, 0)
-
-    max_delta_seen = int(costs.max())
     if keep_trajectory:
-        traj_delta = costs.astype(np.int64)
-    costs = penalty.evaluate(costs)
+        traj = (
+            np.empty(horizon, dtype=np.int64),
+            np.empty(horizon, dtype=np.int32),
+            np.empty(horizon, dtype=np.uint8),
+        )
+    t0 = 0
+    for (b, rows, cols), (delta, r, tx, decodes) in zip(plan, slots):
+        cost_sums[b : b + rows] += penalty.evaluate(delta).reshape(rows, cols).sum(axis=1)
+        tx_sums[b : b + rows] += tx.reshape(rows, cols).sum(axis=1)
+        max_delta = max(max_delta, int(delta.max()))
+        decoded += decodes
+        if keep_trajectory:
+            for out, part in zip(traj, (delta, r, tx)):
+                out[t0 : t0 + delta.size] = part
+        t0 += delta.size
+
     report = SimReport(
         horizon=horizon,
         seed=seed,
-        avg_aoii=float(costs.mean()),
-        avg_rate=int(tx_flags.sum()) / horizon,
-        aoii_stderr=_batch_stderr(costs),
-        rate_stderr=_batch_stderr(tx_flags.astype(float)),
-        max_delta_seen=max_delta_seen,
+        avg_aoii=float(cost_sums.sum() / horizon),
+        avg_rate=int(tx_sums.sum()) / horizon,
+        aoii_stderr=_batch_stderr(cost_sums[:n_batches], size),
+        rate_stderr=_batch_stderr(tx_sums[:n_batches], size),
+        max_delta_seen=max_delta,
         decode_successes=decoded,
     )
     if keep_trajectory:
-        return report, (traj_delta, traj_r, tx_flags)
+        return report, traj
     return report
 
 

@@ -2,14 +2,17 @@
 
 Everything here is implemented directly from the one-step dynamics with
 deliberately different machinery than the package: python-stdlib Monte Carlo
-with a two-uniform factorization, dense truncated matrix powers, and power
-iteration on an explicitly materialized kernel.  Nothing imports from
+with a two-uniform factorization, a per-slot numpy-stream loop, dense
+truncated matrix powers, and power iteration on an explicitly materialized
+kernel.  Nothing imports from
 aoii_harq except the tests that compare against these results.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import cycle, islice, repeat
+from math import inf, sqrt
 
 import numpy as np
 
@@ -68,6 +71,131 @@ def brute_sim(alpha, mu, p, decide, horizon, seed, f=lambda d: float(d)):
 
 def threshold_decide(n0):
     return lambda delta, r, t, rng: delta >= n0
+
+
+def schedule(policy, rng, horizon):
+    """Per-slot thresholds of a simulator policy, read off its fields: slot t
+    transmits iff the AoII is at least the t-th one (0 always, inf never).
+
+    Periodic repeats 0 then period - 1 infs; the mixed policy draws n_high
+    where rng.random(horizon) < rho_high, else n_low; a fixed threshold
+    repeats n0; anything else never transmits."""
+    if hasattr(policy, "period"):
+        return islice(cycle((0,) + (inf,) * (policy.period - 1)), horizon)
+    if hasattr(policy, "rho_high"):
+        return np.where(rng.random(horizon) < policy.rho_high, policy.n_low + 1, policy.n_low).tolist()
+    if hasattr(policy, "n0"):
+        return repeat(policy.n0, horizon)
+    return repeat(inf, horizon)
+
+
+def _batch_stderr(samples):
+    n_batches = min(100, samples.size)
+    if n_batches < 2:
+        return 0.0
+    size = samples.size // n_batches
+    means = samples[: n_batches * size].reshape(n_batches, size).mean(axis=1)
+    return float(means.std(ddof=1) / sqrt(n_batches))
+
+
+def slot_simulate(policy, source, channel, penalty, horizon, seed, *, keep_trajectory=False):
+    """One trajectory from (0, 0), one loop iteration per slot: the reference
+    the package's numpy samplers are checked against.
+
+    The kernel's uniforms come first from one PCG64 stream, then whatever the
+    policy's schedule draws; one uniform per slot decides the decode outcome
+    and the source move jointly.  Returns the report fields as a dict (horizon,
+    seed, avg_aoii, avg_rate, aoii_stderr, rate_stderr, max_delta_seen,
+    decode_successes); with keep_trajectory=True, (dict, (deltas, rs,
+    actions)) with the pre-transition state and the action of every slot.
+    """
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    rng = np.random.default_rng(seed)
+    u_step = rng.random(horizon)
+
+    alpha, mu = source.alpha, source.mu
+
+    # Per-count transmit cells, grown on demand: cumulative cuts of
+    # [alpha*p | (1-alpha)*p | alpha*(1-p) | mu*(1-p) | rest] so one uniform
+    # decides the decode outcome and the source move jointly.
+    c1 = np.empty(0)
+    c2 = np.empty(0)
+    c3 = np.empty(0)
+    c4 = np.empty(0)
+
+    def grow_cells(n: int) -> None:
+        nonlocal c1, c2, c3, c4
+        size = max(n, 2 * c1.size, 64)
+        p = np.array([channel.success_probability(r) for r in range(size)])
+        c1 = alpha * p
+        c2 = p
+        c3 = p + alpha * (1.0 - p)
+        c4 = c3 + mu * (1.0 - p)
+
+    grow_cells(64)
+
+    # holds the age of each slot until the loop ends, then its penalty
+    costs = np.empty(horizon)
+    tx_flags = np.zeros(horizon, dtype=np.uint8)
+    if keep_trajectory:
+        traj_r = np.empty(horizon, dtype=np.int32)
+
+    delta = 0
+    r = 0
+    decoded = 0
+    for t, (u, threshold) in enumerate(zip(u_step, schedule(policy, rng, horizon))):
+        costs[t] = delta
+        if keep_trajectory:
+            traj_r[t] = r
+        if delta >= threshold:
+            tx_flags[t] = 1
+            if r >= c1.size:
+                grow_cells(r + 1)
+            if delta == 0:
+                # decode outcome cells at r = 0: success iff u < p(0)
+                if u < c2[0]:
+                    decoded += 1
+                    delta = 0 if u < c1[0] else 1
+                else:
+                    rest = 1.0 - c2[0]
+                    delta = 0 if u < c2[0] + alpha * rest else 1
+                r = 0
+            elif u < c1[r]:
+                decoded += 1
+                delta, r = 0, 0
+            elif u < c2[r]:
+                decoded += 1
+                delta, r = delta + 1, 0
+            elif u < c3[r]:
+                delta, r = delta + 1, r + 1
+            elif u < c4[r]:
+                delta, r = 0, 0
+            else:
+                delta, r = delta + 1, 0
+        else:
+            if delta == 0:
+                delta = 0 if u < alpha else 1
+            else:
+                delta, r = (0, 0) if u < mu else (delta + 1, 0)
+
+    max_delta_seen = int(costs.max())
+    if keep_trajectory:
+        traj_delta = costs.astype(np.int64)
+    costs = penalty.evaluate(costs)
+    report = dict(
+        horizon=horizon,
+        seed=seed,
+        avg_aoii=float(costs.mean()),
+        avg_rate=int(tx_flags.sum()) / horizon,
+        aoii_stderr=_batch_stderr(costs),
+        rate_stderr=_batch_stderr(tx_flags.astype(float)),
+        max_delta_seen=max_delta_seen,
+        decode_successes=decoded,
+    )
+    if keep_trajectory:
+        return report, (traj_delta, traj_r, tx_flags)
+    return report
 
 
 def stationary_power_iteration(alpha, mu, p, transmit_prob, dcap, rcap, tol=1e-14, sweeps=200_000):

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracles
 from aoii_harq import (
     ChannelModel,
     FixedThreshold,
@@ -25,25 +27,35 @@ from aoii_harq import (
 
 
 class TestPolicies:
+    # the per-slot schedules the oracle loop reads off each policy
     def test_fixed_schedule(self):
-        assert list(FixedThreshold(3).schedule(np.random.default_rng(0), 4)) == [3, 3, 3, 3]
+        assert list(oracles.schedule(FixedThreshold(3), np.random.default_rng(0), 4)) == [3, 3, 3, 3]
 
     def test_never_schedule(self):
-        assert list(NeverTransmit().schedule(np.random.default_rng(0), 3)) == [math.inf] * 3
+        assert list(oracles.schedule(NeverTransmit(), np.random.default_rng(0), 3)) == [math.inf] * 3
 
     def test_periodic_schedule(self):
         pol = Periodic(0.3)
         assert pol.period == 4
         inf = math.inf
-        assert list(pol.schedule(np.random.default_rng(0), 5)) == [0, inf, inf, inf, 0]
+        assert list(oracles.schedule(pol, np.random.default_rng(0), 5)) == [0, inf, inf, inf, 0]
 
     def test_mixed_schedule_draws_n_high_below_rho(self):
         pol = MixedThreshold(n_low=2, rho_high=0.5)
         assert pol.n_high == 3
         uniforms = np.random.default_rng(4).random(200)
-        thresholds = list(pol.schedule(np.random.default_rng(4), 200))
+        thresholds = list(oracles.schedule(pol, np.random.default_rng(4), 200))
         assert thresholds == [3 if u < 0.5 else 2 for u in uniforms]
         assert {2, 3} == set(thresholds)
+
+    def test_waits_before_the_burst(self):
+        rng = np.random.default_rng(0)
+        assert FixedThreshold(3).waits(rng, 2).tolist() == [2, 2]
+        assert NeverTransmit().waits(rng, 2).min() > 2**60
+        # n_high adds the wait slot at AoII n_low
+        uniforms = np.random.default_rng(4).random(200)
+        waits = MixedThreshold(2, 0.5).waits(np.random.default_rng(4), 200)
+        assert waits.tolist() == [2 if u < 0.5 else 1 for u in uniforms]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -98,8 +110,9 @@ class TestSimulate:
         assert abs(report.avg_aoii - aoii_exact) <= 3 * report.aoii_stderr + 1e-9
 
     # (avg_aoii, avg_rate, aoii_stderr, rate_stderr, max_delta_seen,
-    # decode_successes) at seed 17 and horizon 20k: a change in the order the
-    # kernel and the schedule draw their uniforms changes these
+    # decode_successes) at seed 17 and horizon 20k of the per-slot loop
+    # (oracles.slot_simulate): a change in the order the kernel and the
+    # schedule draw their uniforms changes these
     PINNED = {
         ("linear", NeverTransmit()): (28.0893, 0.0, 1.5001111743649356, 0.0, 214, 0),
         ("linear", FixedThreshold(2)): (2.37885, 0.52115, 0.041649805982547375, 0.004314560150574945, 25, 5884),
@@ -118,8 +131,72 @@ class TestSimulate:
     )
     def test_reports_pinned_across_versions(self, paper_source, paper_channel, kind, policy):
         penalty = PenaltySpec.linear() if kind == "linear" else PenaltySpec.power(1.5)
+        report = oracles.slot_simulate(policy, paper_source, paper_channel, penalty, 20_000, seed=17)
+        assert SimReport(**report) == SimReport(20_000, 17, *self.PINNED[kind, policy])
+
+    # the same cases for the package's samplers (regenerative cycles, and the
+    # reset-indicator scan for Periodic): a change in what they draw, in
+    # which order, changes these
+    PINNED_NUMPY = {
+        ("linear", NeverTransmit()): (25.6926, 0.0, 1.2929873121159887, 0.0, 181, 0),
+        ("linear", FixedThreshold(2)): (2.35875, 0.5197, 0.039346452293450906, 0.003951613913991665, 27, 5861),
+        ("linear", MixedThreshold(2, 0.4)): (2.5335, 0.4849, 0.040863872315360185, 0.003949798613968705, 25, 5435),
+        ("linear", Periodic(0.3)): (8.175, 0.25, 0.2964491456550279, 0.0, 67, 2548),
+        ("power", NeverTransmit()): (177.7615241137739, 0.0, 14.868399779223385, 0.0, 181, 0),
+        ("power", FixedThreshold(2)): (5.270139666323929, 0.5197, 0.14088212339888284, 0.003951613913991665, 27, 5861),
+        ("power", MixedThreshold(2, 0.4)): (
+            5.76784481491813, 0.4849, 0.14722365967829504, 0.003949798613968705, 25, 5435
+        ),
+        ("power", Periodic(0.3)): (32.920935229995116, 0.25, 1.8920630675599086, 0.0, 67, 2548),
+    }
+
+    @pytest.mark.parametrize(
+        "kind, policy",
+        list(PINNED_NUMPY),
+        ids=[f"{kind}-{type(pol).__name__}" for kind, pol in PINNED_NUMPY],
+    )
+    def test_numpy_reports_pinned(self, paper_source, paper_channel, kind, policy):
+        penalty = PenaltySpec.linear() if kind == "linear" else PenaltySpec.power(1.5)
         report = simulate(policy, paper_source, paper_channel, penalty, 20_000, seed=17)
-        assert report == SimReport(20_000, 17, *self.PINNED[kind, policy])
+        assert report == SimReport(20_000, 17, *self.PINNED_NUMPY[kind, policy])
+
+    @pytest.mark.parametrize("horizon", [1, 2, 150, 4097, 100_003])
+    @pytest.mark.parametrize(
+        "policy", [NeverTransmit(), FixedThreshold(3), MixedThreshold(2, 0.4), Periodic(0.3), Periodic(1.0)]
+    )
+    def test_trajectory_matches_report(self, paper_source, paper_channel, policy, horizon):
+        # the report's sums, batch means and counts are those of the returned
+        # per-slot arrays, whatever the windows the horizon is cut into
+        penalty = PenaltySpec.power(1.5)
+        report, (deltas, rs, actions) = simulate(
+            policy, paper_source, paper_channel, penalty, horizon, seed=3, keep_trajectory=True
+        )
+        assert (deltas.dtype, rs.dtype, actions.dtype) == (np.int64, np.int32, np.uint8)
+        assert report == simulate(policy, paper_source, paper_channel, penalty, horizon, seed=3)
+        assert deltas[0] == 0 and rs[0] == 0
+        assert np.all((deltas[1:] == 0) | (deltas[1:] == deltas[:-1] + 1))
+        assert np.all((rs == 0) | (rs < deltas))
+        costs = penalty.evaluate(deltas)
+        n_batches = min(100, horizon)
+        size = horizon // n_batches
+        means = costs[: n_batches * size].reshape(n_batches, size).mean(axis=1)
+        rate_means = actions[: n_batches * size].reshape(n_batches, size).mean(axis=1)
+        assert report.avg_aoii == pytest.approx(costs.mean(), rel=1e-12)
+        assert report.avg_rate == actions.sum() / horizon
+        assert report.max_delta_seen == deltas.max()
+        if n_batches > 1:
+            assert report.aoii_stderr == pytest.approx(means.std(ddof=1) / math.sqrt(n_batches), rel=1e-9, abs=1e-15)
+            assert report.rate_stderr == pytest.approx(
+                rate_means.std(ddof=1) / math.sqrt(n_batches), rel=1e-9, abs=1e-15
+            )
+        assert report.decode_successes <= actions.sum()
+        if isinstance(policy, Periodic):
+            assert np.array_equal(np.flatnonzero(actions), np.arange(0, horizon, policy.period))
+            assert policy.period == 1 or rs.max() <= 1
+        elif isinstance(policy, FixedThreshold):
+            assert np.array_equal(actions == 1, deltas >= 3)
+        elif isinstance(policy, MixedThreshold):
+            assert np.all(actions[deltas >= 3] == 1) and not actions[deltas < 2].any()
 
     def test_decode_bookkeeping(self, paper_source, paper_channel, linear_penalty):
         report = simulate(FixedThreshold(1), paper_source, paper_channel, linear_penalty, 100_000, seed=2)
@@ -127,36 +204,95 @@ class TestSimulate:
         assert report.max_delta_seen >= 1
 
     def test_empirical_transition_frequencies_match_kernel(self, linear_penalty):
-        # 1e7-slot trajectory; every observed (state with delta <= 20, action)
-        # cell must match the kernel within 4 binomial standard errors
+        # 1e7-slot trajectories of both samplers (a Periodic(0.3) one covers
+        # the count-1 rows after a failed transmission); every observed
+        # (state with delta <= 20, action) cell must match the kernel within 4
+        # binomial standard errors.  The periodic run uses p_e = 0.7: at
+        # alpha = p(0) = 0.5 a transmission keeps the count exactly as often
+        # as it decodes without resetting, so a swap of the two would not show
         source = SourceModel.from_states(0.5, 16)
-        channel = ChannelModel(p_e=0.5, c=0.5, r_max=2)
         horizon = 10_000_000
-        _, (deltas, rs, actions) = simulate(
-            FixedThreshold(3), source, channel, linear_penalty, horizon, seed=77, keep_trajectory=True
-        )
-        cur_d, cur_r, act = deltas[:-1], rs[:-1], actions[:-1]
-        nxt_d, nxt_r = deltas[1:], rs[1:]
-        mask = cur_d <= 20
-        cur_code = (cur_d[mask] * 64 + cur_r[mask]) * 2 + act[mask]
-        nxt_code = nxt_d[mask] * 64 + nxt_r[mask]
-        checked = 0
-        for code in np.unique(cur_code):
-            rows = cur_code == code
-            n = int(rows.sum())
-            if n < 1000:
-                continue
-            delta, r, a = int(code // 128), int((code // 2) % 64), int(code % 2)
-            dist = transition_dist(
-                State(delta, r), TRANSMIT if a else WAIT, source, channel
+        for policy, channel in (
+            (FixedThreshold(3), ChannelModel(p_e=0.5, c=0.5, r_max=2)),
+            (Periodic(0.3), ChannelModel(p_e=0.7, c=0.5, r_max=2)),
+        ):
+            _, (deltas, rs, actions) = simulate(
+                policy, source, channel, linear_penalty, horizon, seed=77, keep_trajectory=True
             )
-            observed = nxt_code[rows]
-            for succ, p in dist:
-                freq = float((observed == succ.delta * 64 + succ.r).mean())
-                se = math.sqrt(p * (1 - p) / n)
-                assert abs(freq - p) <= 4 * se + 1e-12, (delta, r, a, succ, freq, p)
-                checked += 1
-        assert checked > 20
+            cur_d, cur_r, act = deltas[:-1], rs[:-1], actions[:-1]
+            nxt_d, nxt_r = deltas[1:], rs[1:]
+            mask = cur_d <= 20
+            cur_code = (cur_d[mask] * 64 + cur_r[mask]) * 2 + act[mask]
+            nxt_code = nxt_d[mask] * 64 + nxt_r[mask]
+            del deltas, rs, actions, cur_d, cur_r, act, nxt_d, nxt_r, mask
+            checked = 0
+            count_one_rows = 0
+            for code in np.unique(cur_code):
+                rows = cur_code == code
+                n = int(rows.sum())
+                if n < 1000:
+                    continue
+                delta, r, a = int(code // 128), int((code // 2) % 64), int(code % 2)
+                dist = transition_dist(
+                    State(delta, r), TRANSMIT if a else WAIT, source, channel
+                )
+                observed = nxt_code[rows]
+                for succ, p in dist:
+                    freq = float((observed == succ.delta * 64 + succ.r).mean())
+                    se = math.sqrt(p * (1 - p) / n)
+                    assert abs(freq - p) <= 4 * se + 1e-12, (policy, delta, r, a, succ, freq, p)
+                    checked += 1
+                count_one_rows += r == 1
+            assert checked > 20, policy
+            assert count_one_rows > 5, policy
+
+    def test_working_set_does_not_grow_with_the_horizon(self, paper_source, paper_channel, linear_penalty):
+        # one 1M-slot run per policy; the per-slot loop peaked at 25-33 MB here
+        # (three float arrays of the horizon and a schedule list), the samplers
+        # work in windows of a few thousand slots
+        for policy in (NeverTransmit(), FixedThreshold(2), MixedThreshold(2, 0.4), Periodic(0.3), Periodic(1.0)):
+            tracemalloc.start()
+            try:
+                simulate(policy, paper_source, paper_channel, linear_penalty, 1_000_000, seed=5)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 3_000_000, (policy, peak)
+
+
+class TestAgreesWithSlotLoop:
+    """The numpy samplers against the per-slot loop they replaced
+    (oracles.slot_simulate), on independent streams: AoII and rate agree
+    within 4 standard errors of their difference, decode counts within 4
+    Poisson standard deviations (decodes are less dispersed than Poisson
+    counts in both samplers)."""
+
+    CHANNELS = {
+        "paper": ChannelModel(p_e=0.5, c=0.5, r_max=2),
+        "no-combining": ChannelModel(p_e=0.5, c=0.5, r_max=2, combining="none"),
+        "unbounded": ChannelModel(p_e=0.5, c=0.5),
+    }
+    PENALTIES = {
+        "linear": PenaltySpec.linear(),
+        "power": PenaltySpec.power(1.5),
+        "table": PenaltySpec.from_table([0.0, 1.0, 3.0, 4.0, 6.0]),
+    }
+    POLICIES = (NeverTransmit(), FixedThreshold(3), MixedThreshold(2, 0.4), Periodic(0.3), Periodic(1.0))
+
+    @pytest.mark.parametrize("channel_name", list(CHANNELS))
+    @pytest.mark.parametrize("penalty_name", list(PENALTIES))
+    @pytest.mark.parametrize("index", range(len(POLICIES)), ids=[repr(p) for p in POLICIES])
+    def test_agrees(self, paper_source, channel_name, penalty_name, index):
+        channel, penalty = self.CHANNELS[channel_name], self.PENALTIES[penalty_name]
+        policy = self.POLICIES[index]
+        horizon = 100_000
+        new = simulate(policy, paper_source, channel, penalty, horizon, seed=1_000 + index)
+        old = oracles.slot_simulate(policy, paper_source, channel, penalty, horizon, seed=2_000 + index)
+        for mean, stderr in (("avg_aoii", "aoii_stderr"), ("avg_rate", "rate_stderr")):
+            se = math.hypot(getattr(new, stderr), old[stderr])
+            assert abs(getattr(new, mean) - old[mean]) <= 4.0 * se + 1e-12, (mean, new, old)
+        decodes = new.decode_successes + old["decode_successes"]
+        assert abs(new.decode_successes - old["decode_successes"]) <= 4.0 * math.sqrt(decodes), (new, old)
 
 
 class TestReplicate:
