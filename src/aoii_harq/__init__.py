@@ -45,7 +45,6 @@ from .optimizer import (
     REGIME_NEVER_TRANSMIT,
     REGIME_PURE_THRESHOLD,
     CmdpSolution,
-    mixture_rate,
     solution_policy,
     solve_cmdp,
 )

@@ -8,9 +8,9 @@ Its long-run cost and value function admit series expressions driven by
 where P is the substochastic transmission-burst matrix P[r, 0] = gamma2(r),
 P[r, r+1] = gamma1(r): row r describes the outcome of one transmit slot when
 the receiver already holds r packets, with the row deficit 1 - gamma1 - gamma2
-being the age reset that ends the burst.  Row 0 of P^l has at most l + 2
-nonzero columns, so the series is propagated exactly by a growing mass vector
-instead of explicit matrix powers.
+being the age reset that ends the burst.  The coefficients depend on r only
+through k states (burst_fold), so sigma_l = e0' Q^l 1 for a k x k Q, whose
+sums come exactly from (I - Q)^-1 (Kemeny & Snell, 1960, ch. III).
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ from .model import gamma_arrays, settled_sum
 # returned integer.
 _TIE_TOL = 1e-12
 
-_SUPPORT_FLOOR = 1e-300  # drop underflowed burst-length mass
-
 N0_CEILING = 100_000  # largest threshold a search may return
+_FOLD_CEILING = 1 << 20  # most burst counts a fold may examine
 
 
 @dataclass(frozen=True)
@@ -39,7 +38,8 @@ class SeriesConfig:
     epsilon cuts the raw series (stop once sigma_l < epsilon); the weighted
     cutoff additionally requires f(delta + l) * sigma_l < weighted_epsilon so
     slowly growing penalties cannot starve the weighted sums; l_cap is a hard
-    iteration ceiling beyond which TruncationError is raised.
+    iteration ceiling beyond which TruncationError is raised.  The linear
+    penalty's sums are exact and use none of them.
     """
 
     epsilon: float = 1e-12
@@ -53,24 +53,48 @@ class SeriesConfig:
             raise ValueError("l_cap must be at least 1")
 
 
+def burst_fold(source, channel) -> tuple[np.ndarray, np.ndarray]:
+    """gamma1, gamma2 of the k states Q folds the burst counts into.
+
+    A finite round folds to its round_length counts and wraps; an unbounded
+    round with constant coefficients (c = 1, or no combining) to one count.
+    The chain ends early, without a wrap, at the first count the burst cannot
+    pass in double precision: where the running product of gamma1 is 0.0.
+    """
+    period = channel.round_length
+    n = 64
+    while n <= _FOLD_CEILING:
+        g1, g2 = gamma_arrays(source, channel, n if period is None else min(n, period))
+        if period is None and g1[1] == g1[0] and g2[1] == g2[0]:
+            return g1[:1], g2[:1]
+        dead = np.flatnonzero(np.cumprod(g1) == 0.0)
+        if dead.size:
+            g1[dead[0]] = 0.0
+            return g1[: dead[0] + 1], g2[: dead[0] + 1]
+        if g1.size == period:
+            return g1, g2
+        n *= 2
+    raise TruncationError(f"the burst chain does not fold within {_FOLD_CEILING} states")
+
+
 class SigmaSeries:
-    """Lazily extended sigma_l sequence with its propagating mass vector."""
+    """sigma_l = e0' Q^l 1 on the folded burst chain, and its exact sums."""
 
     def __init__(self, source, channel, cfg: SeriesConfig):
-        self._source = source
-        self._channel = channel
         self._cfg = cfg
-        self._g1 = np.empty(0)
-        self._g2 = np.empty(0)
-        self._v = np.array([1.0])
+        self.gamma1, self.gamma2 = burst_fold(source, channel)
+        self._v = np.zeros(self.gamma1.size)
+        self._v[0] = 1.0
         self._sigma = [1.0]
-
-    def _ensure_gammas(self, n: int) -> None:
-        if self._g1.size >= n:
-            return
-        self._g1, self._g2 = gamma_arrays(
-            self._source, self._channel, max(n, 2 * self._g1.size, 64)
-        )
+        # sum_l sigma_l = x_0 and sum_l l sigma_l = y_0 - x_0 for x = (I-Q)^-1 1
+        # and y = (I-Q)^-1 x.  With P_j = prod_{i<j} gamma1(i) and resets e,
+        # (I-Q) z = b unrolls to P_j (z_j - z_0) = sum_{i>=j} P_i (b_i - e_i z_0),
+        # 0 at j = 0; suffix sums run from the far end, where terms are small.
+        prefix = np.concatenate(([1.0], np.cumprod(self.gamma1[:-1])))
+        ends = prefix * (1.0 - self.gamma1 - self.gamma2)
+        self.total = float(prefix.sum() / ends.sum())
+        self._x = self.total + np.cumsum((prefix - ends * self.total)[::-1])[::-1] / prefix
+        self._moment = float(prefix @ self._x / ends.sum()) - self.total
 
     @property
     def depth(self) -> int:
@@ -78,8 +102,7 @@ class SigmaSeries:
 
     @property
     def mass(self) -> np.ndarray:
-        """Row 0 of P^depth: entry r is the burst weight m(depth, r), trailing
-        underflowed entries dropped."""
+        """e0' Q^depth: entry j is the burst weight of the counts folded to j."""
         return self._v
 
     def step(self) -> float:
@@ -88,21 +111,19 @@ class SigmaSeries:
                 f"sigma series not below cutoff after l_cap={self._cfg.l_cap} terms"
             )
         v = self._v
-        k = v.size
-        self._ensure_gammas(k)
-        new = np.empty(k + 1)
-        new[0] = float(v @ self._g2[:k])
-        new[1:] = v * self._g1[:k]
-        nz = np.nonzero(new >= _SUPPORT_FLOOR)[0]
-        self._v = new[: nz[-1] + 1] if nz.size else new[:1]
-        s = float(new.sum())
+        moved = v * self.gamma1  # count j -> j + 1, wrapping k - 1 -> 0
+        self._v = np.empty_like(v)
+        self._v[1:] = moved[:-1]
+        self._v[0] = moved[-1] + v @ self.gamma2
+        s = float(self._v.sum())
         self._sigma.append(s)
         return s
 
-    def values(self) -> np.ndarray:
-        return np.array(self._sigma)
+    def tail(self) -> float:
+        """sum_{l >= depth} sigma_l = mass . x."""
+        return float(self._v @ self._x)
 
-    def _first_depth(self, delta0: int = 0, penalty=None) -> int:
+    def cutoff(self, delta0: int = 0, penalty=None) -> int:
         """First l with sigma_l < epsilon and, given a penalty, also
         f(delta0 + l) * sigma_l < weighted_epsilon.
 
@@ -127,28 +148,27 @@ class SigmaSeries:
                 depth = cut(self.depth)
         return depth
 
-    def raw_depth(self) -> int:
-        """First l with sigma_l < epsilon."""
-        return self._first_depth()
+    def sums_for(self, delta0: int, penalty) -> tuple[float, float]:
+        """(S, W): S = sum_l sigma_l and W = sum_l f(delta0+l) sigma_l.
 
-    def sums_for(self, delta0: int, penalty) -> tuple[float, float, int]:
-        """(S, W, depth): S = sum_l sigma_l and W = sum_l f(delta0+l) sigma_l.
-
-        Truncated at the first l with sigma_l < epsilon and
-        f(delta0 + l) * sigma_l < weighted_epsilon; the depth is a function of
-        (delta0, penalty, cfg) only, so repeated calls are consistent.
+        S is exact, and so is W for the linear penalty.  Otherwise W is cut at
+        the first l with sigma_l < epsilon and f(delta0 + l) * sigma_l <
+        weighted_epsilon; the depth is a function of (delta0, penalty, cfg)
+        only, so repeated calls are consistent.
         """
-        depth = self._first_depth(delta0, penalty)
+        if getattr(penalty, "kind", None) == "linear":
+            return self.total, delta0 * self.total + self._moment
+        depth = self.cutoff(delta0, penalty)
         sig = np.array(self._sigma[: depth + 1])
         weights = penalty.evaluate(delta0 + np.arange(depth + 1, dtype=float))
-        return float(sig.sum()), float(weights @ sig), depth
+        return self.total, float(weights @ sig)
 
 
 def sigma_series(source, channel, cfg: SeriesConfig = SeriesConfig()) -> tuple[np.ndarray, int]:
     """sigma_0 .. sigma_L with L the first index below the epsilon cutoff."""
     series = SigmaSeries(source, channel, cfg)
-    depth = series.raw_depth()
-    return series.values()[: depth + 1], depth
+    depth = series.cutoff()
+    return np.array(series._sigma[: depth + 1]), depth
 
 
 def cycle_sums(
@@ -173,7 +193,7 @@ def cycle_sums(
         raise ValueError(f"threshold must be >= 1, got {n0}")
     if series is None:
         series = SigmaSeries(source, channel, cfg)
-    sig_sum, weighted, _ = series.sums_for(n0, penalty)
+    sig_sum, weighted = series.sums_for(n0, penalty)
     alpha, mu = source.alpha, source.mu
     omm = 1.0 - mu
     if n0 > 1:
@@ -233,7 +253,7 @@ def value_at(
     if series is None:
         series = SigmaSeries(source, channel, cfg)
     if delta >= n0:
-        sig_sum, weighted, _ = series.sums_for(delta, penalty)
+        sig_sum, weighted = series.sums_for(delta, penalty)
         return weighted + (lam - g) * sig_sum
     mu = source.mu
     omm = 1.0 - mu

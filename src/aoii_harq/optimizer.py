@@ -2,9 +2,10 @@
 
 A threshold policy's cycle sums (L, T, C) give its rate T/L and its cost
 (C + lam T)/L at any transmission price lam; all of them come from one sigma
-series.  The rate falls strictly as the threshold grows, so n_high, the
-least threshold at or above the unconstrained optimum that meets the budget,
-is found by bracketing and binary search on the integer.  When n_high alone
+series, exactly for the linear penalty.  The rate falls strictly as the
+threshold grows, so n_high, the least threshold at or above the
+unconstrained optimum that meets the budget, is found by bracketing and
+binary search on the integer.  When n_high alone
 undershoots the budget, the policy randomizes per slot between n_low =
 n_high - 1 and n_high (Beutler & Ross, J. Math. Anal. Appl. 1985): each
 renewal cycle is then a pure cycle of one of the two, so the cycle sums mix
@@ -57,14 +58,6 @@ class CmdpSolution:
     diagnostics: dict
 
 
-def mixture_rate(rho_high: float, rate_high: float, rate_low: float) -> float:
-    """Linear mixing identity rho*rate_high + (1-rho)*rate_low."""
-    for name, value in (("rho_high", rho_high), ("rate_high", rate_high), ("rate_low", rate_low)):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    return rho_high * rate_high + (1.0 - rho_high) * rate_low
-
-
 def solution_policy(sol: CmdpSolution):
     """Simulation policy realizing a solved CMDP solution."""
     if sol.regime == REGIME_NEVER_TRANSMIT:
@@ -104,9 +97,9 @@ def solve_cmdp(
     rate of at most R.
 
     Any budget R > 0 is feasible since waiting never transmits.  No
-    multiplier is searched for, so lambda_tol is checked but unused; tail_tol
-    is the sigma cutoff of achieved_rate and mixed_chain_analysis, which
-    report the rates and the mixed regime's predicted values.
+    multiplier is searched for, so lambda_tol is checked but unused.  Under
+    the linear penalty every value is exact; otherwise cfg cuts the weighted
+    series of the search, and tail_tol that of the mixed regime's AoII.
 
     The solution is certified: in the mixed regime the price-optimal
     threshold just below and just above lambda* must be n_low and n_high.

@@ -10,7 +10,7 @@ burst matrix, which trace the state (n0+h, r) back to (n0, 0):
 
 and m(h, r) = m(h-r, 0) prod_{j<r} gamma1(j), since a count of r takes r
 consecutive failed transmissions.  The layer sums sum_r m(h, r) are sigma_h,
-so q00 = 1/((1-alpha) L) and the rate T/L come from the cycle sums of
+so q00 = 1/((1-alpha) L) and the rate T/L come from the exact cycle sums of
 lagrangian.cycle_sums.
 """
 
@@ -26,39 +26,26 @@ from .lagrangian import SeriesConfig, SigmaSeries, cycle_sums
 
 @dataclass(frozen=True)
 class MTable:
-    """Burst weights m(h, r) in factored form: m0[h] = m(h, 0) and
-    gamma1_prefix[r] = prod_{j<r} gamma1(j) (zero once the product
-    underflows)."""
+    """Burst weights m(h, r) = m0[h - r] * gamma1_prefix[r] for r <= h <= h_max
+    in factored form: m0[h] = m(h, 0) and gamma1_prefix[r] = prod_{j<r}
+    gamma1(j) (zero once the product underflows)."""
 
     h_max: int
     m0: np.ndarray
     gamma1_prefix: np.ndarray
 
-    def entry(self, h: int, r: int) -> float:
-        if h < 0 or r < 0 or h > self.h_max:
-            raise ValueError(f"(h, r) out of range: {(h, r)}")
-        if r > h:
-            return 0.0
-        return float(self.m0[h - r] * self.gamma1_prefix[r])
-
-    def layer_sums(self) -> np.ndarray:
-        """sum_r m(h, r) for each h; a convolution of m0 with the prefix products."""
-        return np.convolve(self.m0, self.gamma1_prefix)[: self.h_max + 1]
-
 
 def m_table(source, channel, h_max: int) -> MTable:
-    """m(h, 0) and m(h, h) read off the sigma series' mass vector, which is
-    row 0 of P^h."""
+    """m(h, 0) = e0' Q^(h-1) gamma2, read off the folded burst chain, and the
+    running products of gamma1 over the counts."""
     if h_max < 0:
         raise ValueError(f"h_max must be nonnegative, got {h_max}")
     series = SigmaSeries(source, channel, SeriesConfig(l_cap=max(h_max, 1)))
     m0 = np.ones(h_max + 1)
-    prefix = np.ones(h_max + 1)
     for h in range(1, h_max + 1):
+        m0[h] = series.mass @ series.gamma2
         series.step()
-        mass = series.mass
-        m0[h] = mass[0]
-        prefix[h] = mass[h] if mass.size > h else 0.0
+    prefix = np.concatenate(([1.0], np.cumprod(np.resize(series.gamma1, h_max))))
     return MTable(h_max, m0, prefix)
 
 
@@ -66,12 +53,12 @@ def m_table(source, channel, h_max: int) -> MTable:
 class RateAnalysis:
     """Stationary summary of the threshold-n0 chain.
 
-    The sigma series is cut at ``depth``, its first term below the tail
+    The law stops at ``depth``, the first sigma term below the tail
     tolerance.  ``stationary`` maps (delta, r) to probability over the ramp
     and the burst layers h < depth, and ``stationary_arrays`` holds the same
     law as (delta, r, probability) arrays in the same order; each is built on
-    first read.  The cut layer's mass is ``truncation_mass``, so the law plus
-    it sums to one.
+    first read.  The exact mass of the layers from ``depth`` on is
+    ``truncation_mass``, so the law plus it sums to one.
     """
 
     n0: int
@@ -103,20 +90,19 @@ class RateAnalysis:
 
 
 def achieved_rate(n0: int, source, channel, tail_tol: float = 1e-12) -> RateAnalysis:
-    """Exact transmission rate T/L of the threshold-n0 policy, with the sigma
-    series cut at its first term below tail_tol."""
+    """Exact transmission rate T/L of the threshold-n0 policy; its stationary
+    law stops at the first sigma term below tail_tol."""
     if n0 < 1:
         raise ValueError(f"threshold must be >= 1, got {n0}")
     series = SigmaSeries(source, channel, SeriesConfig(epsilon=tail_tol))
-    depth = series.raw_depth()
-    sigma = series.values()
+    depth = series.cutoff()
     alpha, mu = source.alpha, source.mu
     pref = (1.0 - mu) ** (n0 - 1)
-    transmissions = pref * float(sigma[: depth + 1].sum())
+    transmissions = pref * series.total
     length = 1.0 / (1.0 - alpha) + (1.0 - pref) / mu + transmissions
     q00 = 1.0 / ((1.0 - alpha) * length)
     return RateAnalysis(
-        n0, q00, transmissions / length, pref * float(sigma[depth]) / length, depth, source, channel
+        n0, q00, transmissions / length, pref * series.tail() / length, depth, source, channel
     )
 
 
@@ -136,8 +122,8 @@ def mixed_chain_analysis(
     value.  The thresholds are adjacent, so the draw matters only at
     AoII = n_low, which a renewal cycle visits at most once: each cycle is a
     threshold-n_high cycle with probability rho_high and a threshold-n_low
-    cycle otherwise, and the cycle sums (L, T, C) mix linearly.  The sigma
-    series is cut at its first term below tail_tol.
+    cycle otherwise, and the cycle sums (L, T, C) mix linearly.  tail_tol
+    cuts the weighted series of penalties other than linear.
     """
     if n_low < 1:
         raise ValueError(f"n_low must be >= 1, got {n_low}")

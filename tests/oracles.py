@@ -3,14 +3,15 @@
 Everything here is implemented directly from the one-step dynamics with
 deliberately different machinery than the package: python-stdlib Monte Carlo
 with a two-uniform factorization, a per-slot numpy-stream loop, dense
-truncated matrix powers, and power iteration on an explicitly materialized
-kernel.  Nothing imports from
+truncated matrix powers, power iteration on an explicitly materialized
+kernel, and exact rational elimination on the folded burst chain.  Nothing imports from
 aoii_harq except the tests that compare against these results.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import cycle, islice, repeat
 from math import inf, sqrt
 
@@ -270,3 +271,67 @@ def enumerate_m(alpha, mu, p, h_max):
             table[(h + 1, r + 1)] = table.get((h + 1, r + 1), 0.0) + w * g1
             table[(h + 1, 0)] = table.get((h + 1, 0), 0.0) + w * g2
     return table
+
+
+def fraction_solve(a, b):
+    """x with a x = b by Gauss-Jordan elimination over Fractions (a is a
+    square list of lists, b a list; both are copied)."""
+    n = len(b)
+    rows = [list(row) + [rhs] for row, rhs in zip(a, b)]
+    for col in range(n):
+        pivot = next(i for i in range(col, n) if rows[i][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col][col]
+        rows[col] = [v / lead for v in rows[col]]
+        for i in range(n):
+            if i != col and rows[i][col] != 0:
+                factor = rows[i][col]
+                rows[i] = [v - factor * w for v, w in zip(rows[i], rows[col])]
+    return [row[n] for row in rows]
+
+
+def fraction_burst_sums(alpha, mu, p, k):
+    """(S, M) = (sum_l sigma_l, sum_l l sigma_l) as exact rationals for a
+    burst whose coefficients repeat with period k (p(r) = p(r mod k)).
+
+    The k-state matrix Q[j, 0] = gamma2(j), Q[j, (j+1) mod k] += gamma1(j) is
+    built from Fraction(float) of alpha, mu and p(j); then (I - Q) x = 1 and
+    (I - Q) y = x are solved by elimination, S = x_0 and M = y_0 - x_0.
+    """
+    a, m = Fraction(alpha), Fraction(mu)
+    system = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+    for j in range(k):
+        q = 1 - Fraction(p(j))
+        system[j][0] -= 1 - a - m * q
+        system[j][(j + 1) % k] -= a * q
+    x = fraction_solve(system, [Fraction(1)] * k)
+    y = fraction_solve(system, x)
+    return x[0], y[0] - x[0]
+
+
+def fraction_cycle_sums(alpha, mu, sums, n0):
+    """Exact (L, T, C) per renewal cycle of the threshold-n0 policy under the
+    linear penalty, from the exact burst sums (S, M)."""
+    a, m = Fraction(alpha), Fraction(mu)
+    total, moment = sums
+    pref = (1 - m) ** (n0 - 1)
+    transmissions = pref * total
+    length = 1 / (1 - a) + (1 - pref) / m + transmissions
+    head = sum((1 - m) ** i * (i + 1) for i in range(n0 - 1))
+    cost = head + pref * (n0 * total + moment)
+    return length, transmissions, cost
+
+
+def fraction_mixed_solution(alpha, mu, p, k, budget, n_low):
+    """Exact (rho_high, average AoII) of the budget-meeting mix of thresholds
+    n_low and n_low + 1 under the linear penalty: rho = e_low / (e_low -
+    e_high) with e = T - R L, and the AoII is the mixed C over the mixed L."""
+    sums = fraction_burst_sums(alpha, mu, p, k)
+    low = fraction_cycle_sums(alpha, mu, sums, n_low)
+    high = fraction_cycle_sums(alpha, mu, sums, n_low + 1)
+    r = Fraction(budget)
+    e_low, e_high = low[1] - r * low[0], high[1] - r * high[0]
+    rho = e_low / (e_low - e_high)
+    length = rho * high[0] + (1 - rho) * low[0]
+    cost = rho * high[2] + (1 - rho) * low[2]
+    return rho, cost / length

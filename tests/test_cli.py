@@ -54,9 +54,19 @@ class TestSolveCommand:
         assert record["lambda_star"] == "0"
 
     def test_series_cap_is_a_numerical_failure(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, budget={"R": 0.2}, solver={"l_cap": 5})
+        # only a non-linear penalty sums a truncated series; the linear
+        # penalty's sums are exact, so the cap cannot touch its solve
+        power = {"kind": "power", "exponent": 2}
+        cfg = write_config(tmp_path, budget={"R": 0.2}, penalty=power, solver={"l_cap": 5})
         assert main(["solve", "--config", cfg]) == 3
         assert "numerical failure" in capsys.readouterr().err
+        capped = write_config(tmp_path, "capped.json", budget={"R": 0.2}, solver={"l_cap": 5})
+        assert main(["solve", "--config", capped]) == 0
+        record = parse_record(capsys.readouterr().out)
+        assert record["regime"] == "mixed"
+        default = write_config(tmp_path, "default.json", budget={"R": 0.2})
+        assert main(["solve", "--config", default]) == 0
+        assert record == parse_record(capsys.readouterr().out)
 
     def test_mixed_budget_exact(self, tmp_path, capsys):
         cfg = write_config(tmp_path, budget={"R": 0.2})

@@ -11,13 +11,14 @@ from aoii_harq import (
     g_for_threshold,
     g_wait,
     gamma,
+    gamma_arrays,
     optimal_threshold,
     sigma_series,
     value_at,
 )
 from aoii_harq import lagrangian
 from aoii_harq.errors import ThresholdSearchError
-from aoii_harq.lagrangian import SigmaSeries
+from aoii_harq.lagrangian import SigmaSeries, burst_fold
 from aoii_harq.rvi import RviConfig, extract_thresholds, rvi_solve
 
 
@@ -27,6 +28,15 @@ def threshold_margin(n0, lam, source, channel, penalty):
     v_lo = value_at(n0, n0, lam, g, source, channel, penalty)
     v_hi = value_at(n0 + 1, n0, lam, g, source, channel, penalty)
     return (1.0 - source.mu) * v_hi - v_lo + penalty(n0) - g
+
+
+# keyed by r_max for the first two, then one channel per other fold rule
+CHANNELS = {
+    "None": dict(p_e=0.5, c=0.5),
+    "2": dict(p_e=0.5, c=0.5, r_max=2),
+    "no-combining": dict(p_e=0.5, c=0.5, combining="none"),
+    "unbounded-c=0.9": dict(p_e=0.5, c=0.9),
+}
 
 
 class TestSigmaSeries:
@@ -48,14 +58,52 @@ class TestSigmaSeries:
         expected = 0.7 ** np.arange(len(sigmas))
         assert sigmas == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("r_max", [None, 2])
-    def test_matches_dense_matrix_powers(self, r_max):
+    @pytest.mark.parametrize("kwargs", CHANNELS.values(), ids=CHANNELS.keys())
+    def test_matches_dense_matrix_powers(self, kwargs):
         source = SourceModel(alpha=0.5, mu=1 / 30)
-        channel = ChannelModel(p_e=0.5, c=0.5, r_max=r_max)
-        p = oracles.make_p(0.5, 0.5, r_max)
-        dense = oracles.dense_sigma(source.alpha, source.mu, p, size=32, depth=30)
-        sigmas, _ = sigma_series(source, channel)
-        assert sigmas[:31] == pytest.approx(dense, abs=1e-14)
+        channel = ChannelModel(**kwargs)
+        sigmas, depth = sigma_series(source, channel)
+        p = oracles.make_p(**kwargs)
+        dense = oracles.dense_sigma(source.alpha, source.mu, p, size=depth + 2, depth=depth)
+        assert sigmas == pytest.approx(dense, abs=1e-14)
+
+    @pytest.mark.parametrize("kwargs, k", [
+        (dict(p_e=0.5, c=0.5, r_max=2), 3),
+        (dict(p_e=0.5, c=0.5, r_max=2, combining="none"), 3),
+        (dict(p_e=0.5, c=0.5, combining="none"), 1),
+        (dict(p_e=0.5, c=1.0), 1),
+        (dict(p_e=0.5, c=0.5), 45),
+        (dict(p_e=0.5, c=0.5, r_max=500), 45),
+    ], ids=["round", "round-no-combining", "no-combining", "c=1", "unbounded", "long-round"])
+    def test_fold_sizes(self, kwargs, k):
+        g1, g2 = burst_fold(SourceModel(alpha=0.5, mu=1 / 30), ChannelModel(**kwargs))
+        assert g1.size == g2.size == k
+
+    def test_unbounded_fold_ends_where_the_burst_cannot_pass(self):
+        source = SourceModel(alpha=0.5, mu=1 / 30)
+        channel = ChannelModel(p_e=0.5, c=0.9)
+        g1, g2 = burst_fold(source, channel)
+        full1, full2 = gamma_arrays(source, channel, 4 * g1.size)
+        prefix = np.cumprod(full1)
+        assert prefix[g1.size - 2] > 0.0 and prefix[g1.size - 1] == 0.0
+        assert g1[-1] == 0.0
+        assert np.array_equal(g1[:-1], full1[: g1.size - 1]) and np.array_equal(g2, full2[: g1.size])
+
+    def test_fold_ceiling_reported(self, monkeypatch):
+        monkeypatch.setattr(lagrangian, "_FOLD_CEILING", 64)
+        with pytest.raises(TruncationError):
+            burst_fold(SourceModel(alpha=0.5, mu=1 / 30), ChannelModel(p_e=0.5, c=0.99))
+
+    def test_exact_sums_ignore_the_series_controls(self, paper_source, paper_channel, linear_penalty):
+        loose = SigmaSeries(paper_source, paper_channel, SeriesConfig(1e-2, 1e-2, l_cap=1))
+        tight = SigmaSeries(paper_source, paper_channel, SeriesConfig(1e-15, 1e-15))
+        assert loose.sums_for(5, linear_penalty) == tight.sums_for(5, linear_penalty)
+        assert loose.depth == 0
+        sigmas, _ = sigma_series(paper_source, paper_channel, SeriesConfig(epsilon=1e-300))
+        ls = np.arange(sigmas.size)
+        assert tight.sums_for(5, linear_penalty) == pytest.approx(
+            (sigmas.sum(), (5 + ls) @ sigmas), rel=1e-13
+        )
 
     def test_truncation_failure_reported(self, paper_source, paper_channel):
         with pytest.raises(TruncationError):

@@ -1,5 +1,7 @@
 import pytest
 
+import oracles
+
 from aoii_harq import optimizer
 from aoii_harq import (
     BoundednessError,
@@ -10,31 +12,16 @@ from aoii_harq import (
     REGIME_MIXED,
     REGIME_NEVER_TRANSMIT,
     REGIME_PURE_THRESHOLD,
+    SeriesConfig,
     SolverError,
     SourceModel,
     g_for_threshold,
     g_wait,
     mixed_chain_analysis,
-    mixture_rate,
     optimal_threshold,
     solution_policy,
     solve_cmdp,
 )
-
-
-class TestMixtureRate:
-    def test_degenerate_weights(self):
-        assert mixture_rate(1.0, 0.2, 0.8) == pytest.approx(0.2)
-        assert mixture_rate(0.0, 0.2, 0.8) == pytest.approx(0.8)
-
-    def test_interior_weight(self):
-        assert mixture_rate(2.0 / 3.0, 0.2, 0.8) == pytest.approx(0.4)
-
-    def test_validates_ranges(self):
-        with pytest.raises(ValueError):
-            mixture_rate(1.5, 0.2, 0.8)
-        with pytest.raises(ValueError):
-            mixture_rate(0.5, -0.1, 0.8)
 
 
 class TestSolveCmdp:
@@ -78,7 +65,7 @@ class TestSolveCmdp:
         )
         assert abs(rate_at_seed - budget) > 1e-6
         assert abs(sol.predicted_rate - budget) <= 1e-9
-        assert mixture_rate(seed_rho, sol.rate_high, sol.rate_low) == pytest.approx(budget, abs=1e-12)
+        assert seed_rho * sol.rate_high + (1.0 - seed_rho) * sol.rate_low == pytest.approx(budget, abs=1e-12)
 
     def test_search_trace_is_monotone(self, paper_source, paper_channel, linear_penalty):
         sol = solve_cmdp(0.15, paper_source, paper_channel, linear_penalty)
@@ -102,6 +89,22 @@ class TestSolveCmdp:
             for r in (0.1, 0.2, 0.4, 0.8)
         ]
         assert all(b <= a + 1e-9 for a, b in zip(aoiis, aoiis[1:]))
+
+    @pytest.mark.parametrize("budget", [0.05, 0.1, 0.2])
+    def test_matches_exact_rational_solve(self, paper_source, paper_channel, linear_penalty, budget):
+        sol = solve_cmdp(budget, paper_source, paper_channel, linear_penalty)
+        assert sol.regime == REGIME_MIXED
+        p = oracles.make_p(0.5, 0.5, 2)
+        rho, aoii = oracles.fraction_mixed_solution(
+            paper_source.alpha, paper_source.mu, p, 3, budget, sol.n_low
+        )
+        assert abs(sol.rho_high - float(rho)) <= 1e-13
+        assert abs(sol.predicted_aoii - float(aoii)) <= 1e-13 * float(aoii)
+
+    def test_linear_solve_ignores_the_series_controls(self, paper_source, paper_channel, linear_penalty):
+        default = solve_cmdp(0.2, paper_source, paper_channel, linear_penalty)
+        loose = solve_cmdp(0.2, paper_source, paper_channel, linear_penalty, SeriesConfig(1e-2, 1e-2, l_cap=1))
+        assert loose == default
 
     def test_broken_certificate_raises(self, monkeypatch, paper_source, paper_channel, linear_penalty):
         # a threshold oracle that disagrees with the cycle sums at lambda* > 0

@@ -12,48 +12,60 @@ from aoii_harq import (
     gamma,
     m_table,
     mixed_chain_analysis,
+    sigma_series,
 )
+
+
+def burst_weight(table, h, r):
+    """m(h, r) for r <= h, from the factored table."""
+    return float(table.m0[h - r] * table.gamma1_prefix[r])
+
+
+# keyed by r_max for the first two, then one channel per other fold rule
+CHANNELS = {
+    "None": dict(p_e=0.5, c=0.5),
+    "2": dict(p_e=0.5, c=0.5, r_max=2),
+    "no-combining": dict(p_e=0.5, c=0.5, combining="none"),
+    "unbounded-c=0.9": dict(p_e=0.5, c=0.9),
+}
 
 
 class TestMTable:
     def test_base_cases(self, paper_source, paper_channel):
         table = m_table(paper_source, paper_channel, 6)
         pair = gamma(paper_source, paper_channel, 0)
-        assert table.entry(0, 0) == 1.0
-        assert table.entry(1, 0) == pytest.approx(pair.gamma2, abs=1e-15)
-        assert table.entry(1, 1) == pytest.approx(pair.gamma1, abs=1e-15)
-        assert table.entry(3, 5) == 0.0
+        assert burst_weight(table, 0, 0) == 1.0
+        assert burst_weight(table, 1, 0) == pytest.approx(pair.gamma2, abs=1e-15)
+        assert burst_weight(table, 1, 1) == pytest.approx(pair.gamma1, abs=1e-15)
 
     def test_entries_nonnegative(self, paper_source, paper_channel):
         table = m_table(paper_source, paper_channel, 24)
         for h in range(25):
             for r in range(h + 1):
-                assert table.entry(h, r) >= 0.0
+                assert burst_weight(table, h, r) >= 0.0
 
     def test_perfect_decoding_kills_positive_counts(self, perfect_channel):
         source = SourceModel(alpha=0.3, mu=0.2)
         table = m_table(source, perfect_channel, 20)
         for h in range(21):
-            assert table.entry(h, 0) == pytest.approx(0.7**h, rel=1e-12)
+            assert burst_weight(table, h, 0) == pytest.approx(0.7**h, rel=1e-12)
             for r in range(1, h + 1):
-                assert table.entry(h, r) == 0.0
+                assert burst_weight(table, h, r) == 0.0
 
-    @pytest.mark.parametrize("r_max", [None, 2])
-    def test_matches_brute_force_enumeration(self, r_max):
+    @pytest.mark.parametrize("kwargs", CHANNELS.values(), ids=CHANNELS.keys())
+    def test_matches_brute_force_enumeration(self, kwargs):
         source = SourceModel(alpha=0.5, mu=1 / 30)
-        channel = ChannelModel(p_e=0.5, c=0.5, r_max=r_max)
-        oracle = oracles.enumerate_m(0.5, 1 / 30, oracles.make_p(0.5, 0.5, r_max), 20)
+        channel = ChannelModel(**kwargs)
+        oracle = oracles.enumerate_m(0.5, 1 / 30, oracles.make_p(**kwargs), 20)
         table = m_table(source, channel, 20)
         for (h, r), expected in oracle.items():
-            assert table.entry(h, r) == pytest.approx(expected, rel=1e-12, abs=1e-300)
+            assert burst_weight(table, h, r) == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
-    def test_layer_sums_match_entries(self, paper_source, paper_channel):
-        table = m_table(paper_source, paper_channel, 12)
-        layers = table.layer_sums()
-        for h in range(13):
-            assert layers[h] == pytest.approx(
-                sum(table.entry(h, r) for r in range(h + 1)), rel=1e-12
-            )
+    def test_layers_convolve_to_sigma_series(self, paper_source, paper_channel):
+        sigmas, depth = sigma_series(paper_source, paper_channel)
+        table = m_table(paper_source, paper_channel, depth)
+        layers = np.convolve(table.m0, table.gamma1_prefix)[: depth + 1]
+        assert layers == pytest.approx(sigmas, rel=1e-12)
 
 
 class TestAchievedRate:
