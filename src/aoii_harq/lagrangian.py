@@ -304,6 +304,8 @@ def optimal_threshold(
     channel,
     penalty,
     cfg: SeriesConfig = SeriesConfig(),
+    *,
+    series: SigmaSeries | None = None,
 ) -> int | None:
     """Least n0 >= 1 whose margin is strictly positive, or None (never transmit).
 
@@ -313,7 +315,8 @@ def optimal_threshold(
     """
     if source.mu >= source.alpha:
         return None
-    series = SigmaSeries(source, channel, cfg)
+    if series is None:
+        series = SigmaSeries(source, channel, cfg)
 
     def fires(n0: int) -> bool:
         return _threshold_margin(n0, lam, source, channel, penalty, cfg, series) > _TIE_TOL

@@ -148,7 +148,7 @@ def solve_cmdp(
     def diagnostics() -> dict:
         return {"lambda_trace": tuple(trace), "lambda_iterations": len(trace)}
 
-    n_zero = optimal_threshold(0.0, source, channel, penalty, cfg)
+    n_zero = optimal_threshold(0.0, source, channel, penalty, cfg, series=series)
     trace = [(0.0, n_zero, rate(n_zero))]
     if rate(n_zero) <= R:
         length, _, cost = cycle(n_zero)
@@ -178,7 +178,7 @@ def solve_cmdp(
     lambda_star = _tie_price(cycle(n_low), cycle(n_high))
     for lam, expected in ((lambda_star * (1.0 - _CERTIFICATE_STEP), n_low),
                           (lambda_star * (1.0 + _CERTIFICATE_STEP), n_high)):
-        n0 = optimal_threshold(lam, source, channel, penalty, cfg)
+        n0 = optimal_threshold(lam, source, channel, penalty, cfg, series=series)
         if n0 != expected:
             raise SolverError(
                 f"certificate failed: the optimal threshold at lambda={lam!r} is {n0}, "

@@ -73,22 +73,26 @@ def rvi_solve(lam: float, source, channel, penalty, cfg: RviConfig = RviConfig()
     V[0, :] = 0.0
     shifted = np.empty_like(V)       # V(delta+1, r) with hold at the caps
     shifted_r = np.empty_like(V)     # V(delta+1, r+1)
-    trans = np.empty_like(V)
+    transmit = np.empty_like(V)      # the transmit branch of TV
 
-    converged = False
-    iterations = cfg.max_iters
-    tv00 = f[0] + (1.0 - alpha) * V[1, 0]
-    for it in range(cfg.max_iters):
+    def backup(V):
+        """The wait branch of TV per delta and the transmit branch per
+        (delta, r), the latter in the reused buffer."""
         np.copyto(shifted[:D], V[1:])
         shifted[D] = V[D]
         next0 = shifted[:, 0]
         np.copyto(shifted_r[:, :K], shifted[:, 1:])
         shifted_r[:, K] = shifted[:, K]
-
-        wait = f + (1.0 - mu) * next0
-        np.multiply(shifted_r, g1[None, :], out=trans)
+        trans = np.multiply(shifted_r, g1[None, :], out=transmit)
         trans += g2[None, :] * next0[:, None]
         trans += (f + lam)[:, None]
+        return f + (1.0 - mu) * next0, trans
+
+    converged = False
+    iterations = cfg.max_iters
+    tv00 = f[0] + (1.0 - alpha) * V[1, 0]
+    for it in range(cfg.max_iters):
+        wait, trans = backup(V)
         TV = np.minimum(wait[:, None], trans)
         tv00 = f[0] + (1.0 - alpha) * V[1, 0]
         TV[0, :] = 0.0
@@ -108,13 +112,7 @@ def rvi_solve(lam: float, source, channel, penalty, cfg: RviConfig = RviConfig()
     # relative slack so roundoff cannot flip exactly-indifferent states (at
     # mu = alpha the two branches are analytically equal wherever the value
     # function is flat in r).
-    np.copyto(shifted[:D], V[1:])
-    shifted[D] = V[D]
-    next0 = shifted[:, 0]
-    np.copyto(shifted_r[:, :K], shifted[:, 1:])
-    shifted_r[:, K] = shifted[:, K]
-    wait = f + (1.0 - mu) * next0
-    trans = (f + lam)[:, None] + g1[None, :] * shifted_r + g2[None, :] * next0[:, None]
+    wait, trans = backup(V)
     tie = 1e-12 * np.maximum(1.0, np.abs(wait))
     greedy = trans < (wait - tie)[:, None]
     greedy[0, :] = False

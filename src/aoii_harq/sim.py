@@ -1,7 +1,7 @@
 """Seeded slotted Monte Carlo of source + HARQ channel + scheduling policy.
 
-Two exact samplers, both numpy and both working in fixed-size windows of
-slots, so memory does not grow with the horizon:
+Two exact samplers, both numpy and both yielding the trajectory in chunks
+of at most _SLOTS slots, so memory does not grow with the horizon:
 
 - Threshold policies (never-transmit, fixed, per-slot mixed, and periodic
   with period 1) regenerate at (0, 0).  Every renewal cycle is a dwell at
@@ -9,9 +9,9 @@ slots, so memory does not grow with the horizon:
   when the source wanders back (probability mu per slot) or when the policy
   starts transmitting, and then an HARQ burst that lasts until the AoII
   resets.  Cycles are drawn in blocks, each block's bursts as one array of
-  runs of failed transmissions (see _Bursts), and a window's per-slot AoII
+  runs of failed transmissions (see _Bursts), and the block's per-slot AoII
   follows from the cycle boundaries (Crane and Iglehart 1975; Asmussen and
-  Glynn, Stochastic Simulation, ch. IV).  The last cycle is cut at the
+  Glynn, Stochastic Simulation, ch. IV).  The last block is cut at the
   horizon.
 - Periodic with period >= 2 never transmits in two consecutive slots, so
   every transmission goes out with r = 0 and "AoII = 0" is a two-state chain
@@ -21,7 +21,8 @@ slots, so memory does not grow with the horizon:
   (maximum.accumulate) plus a flip parity (cumsum).  The AoII is then the
   distance to the last zero.
 
-The per-slot cost is the pre-transition penalty f(delta_t), slot 0 included.
+simulate adds each chunk into its batch sums by batch index.  The per-slot
+cost is the pre-transition penalty f(delta_t), slot 0 included.
 One PCG64 stream per trajectory, drawn in a fixed order, so identical inputs
 and seed give bit-identical reports.  Replication seeds are derived with
 numpy's SeedSequence spawn keys, which are collision-free and independent of
@@ -35,7 +36,7 @@ from math import ceil, sqrt
 
 import numpy as np
 
-_SLOTS = 4096  # slots per window
+_SLOTS = 4096  # most slots per chunk
 _BLOCK = 8192  # slots a block of renewal cycles aims to cover
 _FAR = 1 << 62  # burst-start AoII of a cycle without a burst
 
@@ -185,73 +186,64 @@ class _Bursts:
         return lengths, r, decoded
 
 
-def _cycle_slots(rng, waits, dwell_tx, source, channel, lengths):
-    """Regenerative sampler: per window of the given lengths, yields the
-    slots' (delta, r, tx, decodes).
+def _cycle_block(rng, n_cycles, waits, source, bursts, limit):
+    """n_cycles renewal cycles from (0, 0): the slots they cover and, for the
+    first limit of those slots, per slot (delta, r, tx, decoded).  Its
+    temporaries, a few arrays per slot, are freed before the next block."""
+    dwell = rng.geometric(1.0 - source.alpha, n_cycles)
+    need = waits(rng, n_cycles)
+    back = rng.geometric(source.mu, n_cycles)  # wait slot at which the source returns
+    burst = back > need
+    blen, rs, decoded = bursts.draw(rng, int(np.count_nonzero(burst)))
+    span = dwell + np.where(burst, need, back)
+    span[burst] += blen
+    first = np.zeros(n_cycles, dtype=np.int64)
+    first[burst] = np.cumsum(blen) - blen
+    covered = int(span.sum())
+    n = min(covered, limit)
+    cyc = np.repeat(np.arange(n_cycles), span)[:n]
+    lead = np.cumsum(span) - span + dwell - 1  # last AoII-0 slot of each cycle
+    delta = np.maximum(np.arange(n) - lead[cyc], 0)
+    at = delta - np.where(burst, need + 1, _FAR)[cyc]
+    tx = at >= 0
+    pos = first[cyc[tx]] + at[tx]
+    r = np.zeros(n, dtype=np.int32)
+    r[tx] = rs[pos]
+    hits = np.zeros(n, dtype=bool)
+    hits[tx] = decoded[pos]
+    return covered, delta, r, tx, hits
+
+
+def _cycle_slots(rng, waits, dwell_tx, source, channel, horizon):
+    """Regenerative sampler: yields the horizon's slots as (delta, r, tx,
+    decodes) chunks of at most _SLOTS slots.
 
     waits(rng, n) gives each cycle's wait slots before its burst (_FAR:
     none); dwell_tx makes the AoII-0 slots transmit too (period 1).
     """
-    alpha, mu = source.alpha, source.mu
     p0 = channel.success_probability(0)
     bursts = _Bursts(source, channel)
-    blocks = []
     drawn = 0  # slots covered by the drawn cycles
     n_cycles = 16
-    t0 = 0
-    for n in lengths:
-        t1 = t0 + n
-        while drawn < t1:
-            before = drawn
-            dwell = rng.geometric(1.0 - alpha, n_cycles)
-            need = waits(rng, n_cycles)
-            back = rng.geometric(mu, n_cycles)  # wait slot at which the source returns
-            burst = back > need
-            blen, rs, decoded = bursts.draw(rng, int(np.count_nonzero(burst)))
-            span = dwell + np.where(burst, need, back)
-            span[burst] += blen
-            first = np.zeros(n_cycles, dtype=np.int64)
-            first[burst] = np.cumsum(blen) - blen
-            ends = drawn + np.cumsum(span)
-            starts = ends - span
-            blocks.append((
-                starts, ends, starts + dwell - 1, np.where(burst, need + 1, _FAR), first, rs, decoded,
-            ))
-            drawn = int(ends[-1])
-            # burst arrays grow with the slots a block covers, so aim at _BLOCK
-            n_cycles = max(16, min(2 * n_cycles, n_cycles * _BLOCK // (drawn - before)))
-        while blocks[0][1][-1] <= t0:
-            blocks.pop(0)
-        parts = []
-        a = t0
-        for starts, ends, lead, frm, first, rs, decoded in blocks:
-            if a == t1:
-                break
-            i0 = int(np.searchsorted(starts, a, "right")) - 1
-            i1 = int(np.searchsorted(starts, t1, "left"))
-            seg = np.minimum(ends[i0:i1], t1) - np.maximum(starts[i0:i1], a)
-            cyc = np.repeat(np.arange(i0, i1), seg)
-            delta = np.maximum(np.arange(a, a + cyc.size) - lead[cyc], 0)
-            a += cyc.size
-            at = delta - frm[cyc]
-            in_burst = at >= 0
-            pos = (first[cyc] + at)[in_burst]
-            r = np.zeros(cyc.size, dtype=np.int32)
-            r[in_burst] = rs[pos]
-            parts.append((delta, r, in_burst, int(np.count_nonzero(decoded[pos]))))
-        delta, r, tx = (np.concatenate([p[i] for p in parts]) for i in range(3))
-        decodes = sum(p[3] for p in parts)
-        if dwell_tx:
-            dwelling = delta == 0
-            tx |= dwelling
-            decodes += int(rng.binomial(np.count_nonzero(dwelling), p0))
-        yield delta, r, tx, decodes
-        t0 = t1
+    while drawn < horizon:
+        covered, delta, r, tx, hits = _cycle_block(rng, n_cycles, waits, source, bursts, horizon - drawn)
+        for lo in range(0, delta.size, _SLOTS):
+            part = slice(lo, lo + _SLOTS)
+            d, t = delta[part], tx[part]
+            decodes = int(np.count_nonzero(hits[part]))
+            if dwell_tx:
+                dwelling = d == 0
+                t = t | dwelling
+                decodes += int(rng.binomial(np.count_nonzero(dwelling), p0))
+            yield d, r[part], t, decodes
+        # burst arrays grow with the slots a block covers, so aim at _BLOCK
+        n_cycles = max(16, min(2 * n_cycles, n_cycles * _BLOCK // covered))
+        drawn += covered
 
 
-def _periodic_slots(rng, period, source, channel, lengths):
-    """Reset-indicator scan for a period >= 2: per window of the given lengths,
-    yields the slots' (delta, r, tx, decodes).
+def _periodic_slots(rng, period, source, channel, horizon):
+    """Reset-indicator scan for a period >= 2: yields the horizon's slots as
+    (delta, r, tx, decodes) chunks of _SLOTS slots (the last one shorter).
 
     One uniform per slot.  At AoII 0 the next AoII is 0 iff u < alpha (and a
     transmission decodes iff u < alpha*p or alpha <= u < alpha + (1-alpha)*p);
@@ -261,9 +253,9 @@ def _periodic_slots(rng, period, source, channel, lengths):
     alpha, mu = source.alpha, source.mu
     c1, c2, c3, c4 = _cuts(source, channel, [0])[:, 0]
     p0 = channel.success_probability(0)
-    zero, last_zero, r_in = True, 0, 0  # state entering the window
-    t0 = 0
-    for n in lengths:
+    zero, last_zero, r_in = True, 0, 0  # state entering the chunk
+    for t0 in range(0, horizon, _SLOTS):
+        n = min(_SLOTS, horizon - t0)
         t = np.arange(t0, t0 + n)
         u = rng.random(n)
         tx = np.zeros(n, dtype=bool)
@@ -294,23 +286,6 @@ def _periodic_slots(rng, period, source, channel, lengths):
         r = np.concatenate(([r_in], kept[:-1])).astype(np.int32)
         yield delta, r, tx, int(np.count_nonzero(decodes))
         zero, last_zero, r_in = bool(nxt[-1]), int(t[-1] - delta[-1]), int(kept[-1])
-        t0 += n
-
-
-def _windows(horizon: int, n_batches: int, size: int):
-    """(first batch, batches, batch slots) per window: windows hold whole
-    batches, or pieces of one when a batch is longer than _SLOTS; the slots
-    past the last whole batch form a window of their own (batch n_batches)."""
-    if size <= _SLOTS:
-        per = _SLOTS // size
-        for b in range(0, n_batches, per):
-            yield b, min(per, n_batches - b), size
-    else:
-        for b in range(n_batches):
-            for lo in range(0, size, _SLOTS):
-                yield b, 1, min(_SLOTS, size - lo)
-    if horizon > n_batches * size:
-        yield n_batches, 1, horizon - n_batches * size
 
 
 def _batch_stderr(sums: np.ndarray, size: int) -> float:
@@ -344,37 +319,36 @@ def simulate(
     rng = np.random.default_rng(seed)
     n_batches = min(100, horizon)
     size = horizon // n_batches
-    plan = list(_windows(horizon, n_batches, size))
-    lengths = (rows * cols for _, rows, cols in plan)
     if isinstance(policy, Periodic) and policy.period > 1:
-        slots = _periodic_slots(rng, policy.period, source, channel, lengths)
+        slots = _periodic_slots(rng, policy.period, source, channel, horizon)
     elif isinstance(policy, Periodic):
         # period 1: threshold-1 cycles whose AoII-0 slots transmit too
-        slots = _cycle_slots(rng, FixedThreshold(1).waits, True, source, channel, lengths)
+        slots = _cycle_slots(rng, FixedThreshold(1).waits, True, source, channel, horizon)
     else:
-        slots = _cycle_slots(rng, policy.waits, False, source, channel, lengths)
+        slots = _cycle_slots(rng, policy.waits, False, source, channel, horizon)
 
-    # per batch; the last bin holds the slots past the last whole batch
-    cost_sums = np.zeros(n_batches + 1)
-    tx_sums = np.zeros(n_batches + 1)
+    # per batch; the bins past n_batches hold the slots past the last batch
+    n_bins = (horizon - 1) // size + 1
+    cost_sums = np.zeros(n_bins)
+    tx_sums = np.zeros(n_bins, dtype=np.int64)
     max_delta = 0
     decoded = 0
     if keep_trajectory:
-        traj = (
-            np.empty(horizon, dtype=np.int64),
-            np.empty(horizon, dtype=np.int32),
-            np.empty(horizon, dtype=np.uint8),
-        )
+        traj = tuple(np.empty(horizon, dtype) for dtype in (np.int64, np.int32, np.uint8))
     t0 = 0
-    for (b, rows, cols), (delta, r, tx, decodes) in zip(plan, slots):
-        cost_sums[b : b + rows] += penalty.evaluate(delta).reshape(rows, cols).sum(axis=1)
-        tx_sums[b : b + rows] += tx.reshape(rows, cols).sum(axis=1)
+    for delta, r, tx, decodes in slots:
+        t1 = t0 + delta.size
+        # chunk offsets at which the batches of slots t0 .. t1 - 1 start
+        at = [0, *range(-t0 % size or size, delta.size, size)]
+        b0 = t0 // size
+        cost_sums[b0 : b0 + len(at)] += np.add.reduceat(penalty.evaluate(delta), at)
+        tx_sums[b0 : b0 + len(at)] += np.add.reduceat(tx, at, dtype=np.int64)
         max_delta = max(max_delta, int(delta.max()))
         decoded += decodes
         if keep_trajectory:
             for out, part in zip(traj, (delta, r, tx)):
-                out[t0 : t0 + delta.size] = part
-        t0 += delta.size
+                out[t0:t1] = part
+        t0 = t1
 
     report = SimReport(
         horizon=horizon,

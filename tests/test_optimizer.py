@@ -2,7 +2,7 @@ import pytest
 
 import oracles
 
-from aoii_harq import optimizer
+from aoii_harq import lagrangian, optimizer
 from aoii_harq import (
     BoundednessError,
     ChannelModel,
@@ -116,6 +116,23 @@ class TestSolveCmdp:
         monkeypatch.setattr(optimizer, "optimal_threshold", shifted)
         with pytest.raises(SolverError, match="certificate"):
             solve_cmdp(0.2, paper_source, paper_channel, linear_penalty)
+
+    @pytest.mark.parametrize("budget, regime, folds", [(0.2, REGIME_MIXED, 4), (1.0, REGIME_PURE_THRESHOLD, 2)])
+    def test_one_fold_serves_the_search(
+        self, monkeypatch, paper_source, paper_channel, linear_penalty, budget, regime, folds
+    ):
+        # the search and its certificate share one series; each achieved-rate
+        # and mixed-chain analysis folds its own
+        real = lagrangian.burst_fold
+        calls = []
+
+        def counted(source, channel):
+            calls.append(channel)
+            return real(source, channel)
+
+        monkeypatch.setattr(lagrangian, "burst_fold", counted)
+        assert solve_cmdp(budget, paper_source, paper_channel, linear_penalty).regime == regime
+        assert len(calls) == folds
 
     def test_boundedness_gate(self, linear_penalty):
         source = SourceModel(alpha=0.5, mu=1e-9)

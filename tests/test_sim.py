@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -136,16 +137,17 @@ class TestSimulate:
 
     # the same cases for the package's samplers (regenerative cycles, and the
     # reset-indicator scan for Periodic): a change in what they draw, in
-    # which order, changes these
+    # which order, changes these, and so does (in the last digits of the
+    # power rows) a change in the order the batch sums are added
     PINNED_NUMPY = {
         ("linear", NeverTransmit()): (25.6926, 0.0, 1.2929873121159887, 0.0, 181, 0),
         ("linear", FixedThreshold(2)): (2.35875, 0.5197, 0.039346452293450906, 0.003951613913991665, 27, 5861),
         ("linear", MixedThreshold(2, 0.4)): (2.5335, 0.4849, 0.040863872315360185, 0.003949798613968705, 25, 5435),
         ("linear", Periodic(0.3)): (8.175, 0.25, 0.2964491456550279, 0.0, 67, 2548),
-        ("power", NeverTransmit()): (177.7615241137739, 0.0, 14.868399779223385, 0.0, 181, 0),
-        ("power", FixedThreshold(2)): (5.270139666323929, 0.5197, 0.14088212339888284, 0.003951613913991665, 27, 5861),
+        ("power", NeverTransmit()): (177.76152411377387, 0.0, 14.868399779223386, 0.0, 181, 0),
+        ("power", FixedThreshold(2)): (5.270139666323929, 0.5197, 0.1408821233988828, 0.003951613913991665, 27, 5861),
         ("power", MixedThreshold(2, 0.4)): (
-            5.76784481491813, 0.4849, 0.14722365967829504, 0.003949798613968705, 25, 5435
+            5.7678448149181305, 0.4849, 0.14722365967829504, 0.003949798613968705, 25, 5435
         ),
         ("power", Periodic(0.3)): (32.920935229995116, 0.25, 1.8920630675599086, 0.0, 67, 2548),
     }
@@ -160,13 +162,59 @@ class TestSimulate:
         report = simulate(policy, paper_source, paper_channel, penalty, 20_000, seed=17)
         assert report == SimReport(20_000, 17, *self.PINNED_NUMPY[kind, policy])
 
+    # sha256 of the (deltas, rs, actions) bytes at seed 17: the samplers'
+    # uniforms, drawn in a fixed order, fix every slot of the trajectory
+    TRAJECTORY_SHA256 = {
+        ("paper", NeverTransmit(), 150): "8100573b0691b6721ac0cb0eb63642dbf6c6fde040756d2dc57aed9a7c9dcf25",
+        ("paper", NeverTransmit(), 20_000): "fe13d164cbc62ca49e2e5a17f1fd1833efbe666d5c63b6281fc113e02dd7c753",
+        ("paper", NeverTransmit(), 100_003): "f31c3ffb42a0ea529b244036b36267941fb0029482a1c9954290d131522068f2",
+        ("paper", FixedThreshold(2), 150): "511bc9682056f8d89b7fd06ef1d21dde43a0149a69710d5477826a4687a6c720",
+        ("paper", FixedThreshold(2), 20_000): "edc69ded013f90f3053054065ebd1e9a3e616cfd33e29efa924ec7fe47fbde24",
+        ("paper", FixedThreshold(2), 100_003): "f37539521a7f96692d4033a5ad18a80ad909abdbbe9d6f70c5d371feca225f22",
+        ("paper", MixedThreshold(2, 0.4), 150): "39246ea34e66df10c2c665dd65294b8409e446ac4a714c69aac00e60919cda4e",
+        ("paper", MixedThreshold(2, 0.4), 20_000): "a1c28bb213cb65eab5ec767390bffac4bf553b191343ab34ba13f406ea5c5cf1",
+        ("paper", MixedThreshold(2, 0.4), 100_003): "a85d268fc1d89c13c087215240ea67a8d1d8f7c7aed380b21dd49ea24aa933f3",
+        ("paper", Periodic(0.3), 150): "be6e936a4e10a3c6ee8ea975c6e85d9d3c5c03e3e3cd6c575452f7b8c88fc5b9",
+        ("paper", Periodic(0.3), 20_000): "b138675727adddf6d926219af9928e75252221922005b4ed29ccb81f0c8862e3",
+        ("paper", Periodic(0.3), 100_003): "2ef214890988546f6000ff3a2e7761933174411c21d01424746a63cd1a978881",
+        ("waiting", NeverTransmit(), 150): "80018158cb2f989999bf2978edf92c6bc7bca0531450f4ef77e57c315e93c0c3",
+        ("waiting", NeverTransmit(), 20_000): "cfe492608804163fe93cf9ee172abb729ee5987f58d72cfaff90b1484f37bd26",
+        ("waiting", NeverTransmit(), 100_003): "4ff59f3d61aed72643c8898896694fb1c41fb517ffa37306c4b6f2f708d27936",
+        ("waiting", FixedThreshold(2), 150): "456bb01557bd4a6e33ddaed0c1f37e524bdd1f888d005cc0ee2b8ae7b601fd69",
+        ("waiting", FixedThreshold(2), 20_000): "9ea1cc9839345a8d13b6c926e3c81fb5f9168746f5c47341ac041573688bdf17",
+        ("waiting", FixedThreshold(2), 100_003): "1e618394c1f03d7c0daccf6d0444ec66d5f1060445ad041d1fa349c041c4e56d",
+        ("waiting", MixedThreshold(2, 0.4), 150): "5bdb079cd572950eff6f9ae088af6ddf34cb26acd633fa5c730e1b28f1d6d7b0",
+        ("waiting", MixedThreshold(2, 0.4), 20_000): "a9746d015b2b2c849d87346df189fe38bc73d8ade6dc07b8f6a67cddc6f24838",
+        ("waiting", MixedThreshold(2, 0.4), 100_003): "74b506a7a09e69d0c3ad03e577202c971f6d98bcd6e2fb96e501e3a7836ebd68",
+        ("waiting", Periodic(0.3), 150): "2b194ea0d047eb2ec1d6ea946bf70d2fa78e7b73a27d35c1ddd9f8fc651ccd1b",
+        ("waiting", Periodic(0.3), 20_000): "3d4b1521f79c5cf6b4a9d99145574b9f55ebe432a046f055aa339085b073f04b",
+        ("waiting", Periodic(0.3), 100_003): "bed29be1392bf38313706db210cb5fd28f99ede72d0b08ed200ddf0cfabafce9",
+    }
+    SETTINGS = {
+        "paper": (SourceModel.from_states(0.5, 16), ChannelModel(p_e=0.5, c=0.5, r_max=2)),
+        "waiting": (SourceModel.from_states(0.01, 32), ChannelModel(p_e=0.5, c=0.5, r_max=None)),
+    }
+
+    @pytest.mark.parametrize(
+        "setting, policy, horizon",
+        list(TRAJECTORY_SHA256),
+        ids=[f"{s}-{type(pol).__name__}-{h}" for s, pol, h in TRAJECTORY_SHA256],
+    )
+    def test_trajectory_stream_pinned(self, linear_penalty, setting, policy, horizon):
+        source, channel = self.SETTINGS[setting]
+        _, arrays = simulate(policy, source, channel, linear_penalty, horizon, seed=17, keep_trajectory=True)
+        digest = hashlib.sha256()
+        for array in arrays:
+            digest.update(array.tobytes())
+        assert digest.hexdigest() == self.TRAJECTORY_SHA256[setting, policy, horizon]
+
     @pytest.mark.parametrize("horizon", [1, 2, 150, 4097, 100_003])
     @pytest.mark.parametrize(
         "policy", [NeverTransmit(), FixedThreshold(3), MixedThreshold(2, 0.4), Periodic(0.3), Periodic(1.0)]
     )
     def test_trajectory_matches_report(self, paper_source, paper_channel, policy, horizon):
         # the report's sums, batch means and counts are those of the returned
-        # per-slot arrays, whatever the windows the horizon is cut into
+        # per-slot arrays, whatever the chunks the samplers yield
         penalty = PenaltySpec.power(1.5)
         report, (deltas, rs, actions) = simulate(
             policy, paper_source, paper_channel, penalty, horizon, seed=3, keep_trajectory=True
