@@ -6,6 +6,19 @@ caps delta at delta_max and r at r_cap with hold-at-the-cap semantics (the
 successor delta+1 maps to delta_max, r+1 to r_cap), which preserves the
 single-recurrent-class structure; truncation bias is measured by re-solving
 with a doubled grid rather than assumed away.
+
+The table is held r-major: W[r, delta], C-contiguous, shape (r_cap + 1,
+delta_max + 1).  The transmit successor V(delta+1, r+1) of a cell with
+r < r_cap and delta < delta_max then lies delta_max + 2 places further along
+the flat array, so the g1 term of a sweep is one contiguous multiply against
+g1 repeated along each row.  The cells whose shifted read runs off the grid
+are patched after it with their held successors: column delta = delta_max
+reads (delta_max, r+1), row r = r_cap reads (delta+1, r_cap), and the corner
+reads itself.  The rest of a sweep is a few contiguous passes into buffers
+allocated once per solve.  Each transmit cell is evaluated as
+((g1 V') + (g2 V(delta+1, 0))) + (f + lam), in that order, so the layout
+changes neither the sweep count nor any bit of the result.  values and
+greedy_transmit are returned as transposed views, indexed [delta, r].
 """
 
 from __future__ import annotations
@@ -65,44 +78,54 @@ def rvi_solve(lam: float, source, channel, penalty, cfg: RviConfig = RviConfig()
     alpha, mu = source.alpha, source.mu
     g1, g2 = gamma_arrays(source, channel, K + 1)
     f = penalty.evaluate(np.arange(D + 1, dtype=float))
+    shape = (K + 1, D + 1)
+    g1_rows = np.repeat(g1, D + 1).reshape(shape)
+    g2_rows = np.repeat(g2, D + 1).reshape(shape)
+    flam_rows = np.tile(f + lam, (K + 1, 1))
 
     # Initial table f(delta), anchored at the reference state.  RVI is
     # invariant to constant shifts of the initial table, so zeroing (0, 0) up
     # front lets every sweep drop the V(0,0) terms from the operator.
-    V = np.repeat(f[:, None], K + 1, axis=1)
-    V[0, :] = 0.0
-    shifted = np.empty_like(V)       # V(delta+1, r) with hold at the caps
-    shifted_r = np.empty_like(V)     # V(delta+1, r+1)
-    transmit = np.empty_like(V)      # the transmit branch of TV
+    W = np.tile(f, (K + 1, 1))
+    W[:, 0] = 0.0
+    flat, step = W.reshape(-1), D + 2
+    next0 = np.empty(D + 1)          # W[0, delta+1] with hold at the cap
+    wait = np.empty(D + 1)           # the wait branch of TV per delta
+    trans = np.empty(shape)          # the transmit branch, then TV
+    g2_term = np.empty(shape)        # g2[r] * next0[delta]
+    trans_flat, g1_flat = trans.reshape(-1), g1_rows.reshape(-1)
 
-    def backup(V):
-        """The wait branch of TV per delta and the transmit branch per
-        (delta, r), the latter in the reused buffer."""
-        np.copyto(shifted[:D], V[1:])
-        shifted[D] = V[D]
-        next0 = shifted[:, 0]
-        np.copyto(shifted_r[:, :K], shifted[:, 1:])
-        shifted_r[:, K] = shifted[:, K]
-        trans = np.multiply(shifted_r, g1[None, :], out=transmit)
-        trans += g2[None, :] * next0[:, None]
-        trans += (f + lam)[:, None]
-        return f + (1.0 - mu) * next0, trans
+    def backup():
+        """The wait branch of TV per delta into wait and the transmit branch
+        per (r, delta) into trans."""
+        next0[:D] = W[0, 1:]
+        next0[D] = W[0, D]
+        np.add(f, np.multiply(next0, 1.0 - mu, out=wait), out=wait)
+        np.multiply(flat[step:], g1_flat[:-step], out=trans_flat[:-step])
+        np.multiply(W[1:, D], g1[:K], out=trans[:K, D])
+        np.multiply(W[K, 1:], g1[K], out=trans[K, :D])
+        trans[K, D] = W[K, D] * g1[K]
+        np.copyto(g2_term, next0)
+        np.add(trans, np.multiply(g2_rows, g2_term, out=g2_term), out=trans)
+        np.add(trans, flam_rows, out=trans)
 
     converged = False
     iterations = cfg.max_iters
-    tv00 = f[0] + (1.0 - alpha) * V[1, 0]
+    tv00 = f[0] + (1.0 - alpha) * W[0, 1]
     for it in range(cfg.max_iters):
-        wait, trans = backup(V)
-        TV = np.minimum(wait[:, None], trans)
-        tv00 = f[0] + (1.0 - alpha) * V[1, 0]
-        TV[0, :] = 0.0
+        backup()
+        TV = np.minimum(wait, trans, out=trans)
+        tv00 = f[0] + (1.0 - alpha) * W[0, 1]
         TV[0, 0] = tv00
 
-        resid = TV[1:] - V[1:]
-        r00 = tv00 - V[0, 0]
-        span = max(resid.max(), r00) - min(resid.min(), r00)
-        V = TV - tv00
-        V[0, 1:] = 0.0
+        # The residual TV - W goes into W, which is rebuilt from TV below.
+        # W[0, 0] is exactly 0, so resid[0, 0] is TV(0,0) - V(0,0); it stands
+        # in for the other r at delta = 0, which are not states of the chain.
+        resid = np.subtract(TV, W, out=W)
+        resid[1:, 0] = resid[0, 0]
+        span = resid.max() - resid.min()
+        np.subtract(TV, tv00, out=W)
+        W[1:, 0] = 0.0
         if span <= cfg.span_tol:
             converged = True
             iterations = it + 1
@@ -112,11 +135,11 @@ def rvi_solve(lam: float, source, channel, penalty, cfg: RviConfig = RviConfig()
     # relative slack so roundoff cannot flip exactly-indifferent states (at
     # mu = alpha the two branches are analytically equal wherever the value
     # function is flat in r).
-    wait, trans = backup(V)
+    backup()
     tie = 1e-12 * np.maximum(1.0, np.abs(wait))
-    greedy = trans < (wait - tie)[:, None]
-    greedy[0, :] = False
-    return RviSolution(float(tv00), V, greedy, iterations, converged, lam)
+    greedy = trans < wait - tie
+    greedy[:, 0] = False
+    return RviSolution(float(tv00), W.T, greedy.T, iterations, converged, lam)
 
 
 def monotone_segments(channel, r_cap: int) -> list[range]:
@@ -138,10 +161,6 @@ def extract_thresholds(sol: RviSolution) -> dict[int, int]:
     column never transmits (the mu >= alpha regime yields an empty map)."""
     if not sol.converged:
         raise ValueError("threshold extraction requires a converged solution")
-    out: dict[int, int] = {}
-    for r in range(sol.greedy_transmit.shape[1]):
-        col = sol.greedy_transmit[1:, r]
-        idx = int(np.argmax(col))
-        if col[idx]:
-            out[r] = idx + 1
-    return out
+    transmit = sol.greedy_transmit[1:]
+    first = transmit.argmax(axis=0)
+    return {int(r): int(first[r]) + 1 for r in np.flatnonzero(transmit.any(axis=0))}

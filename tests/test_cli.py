@@ -315,6 +315,8 @@ class TestGoldenOutputs:
         ("solve_waiting_source.txt", "solve", "configs/waiting_source.json", []),
         ("simulate_waiting_source.txt", "simulate", "configs/waiting_source.json", ["--reps", "2"]),
         ("wait-aoii_waiting_source.txt", "wait-aoii", "configs/waiting_source.json", []),
+        # the mu >= alpha branch of validate: rvi-all-wait and gwait-cross-oracle
+        ("validate_waiting_source.json", "validate", "configs/waiting_source.json", []),
         # R = 0.2 is a mixed solve on the paper config
         ("solve_paper_r0.2.txt", "solve", "tests/golden/paper_r0.2.json", []),
         ("simulate_paper_r0.2.txt", "simulate", "tests/golden/paper_r0.2.json", ["--reps", "2"]),
