@@ -1,32 +1,37 @@
 """Seeded slotted Monte Carlo of source + HARQ channel + scheduling policy.
 
-Two exact samplers, both numpy and both yielding the trajectory in chunks
-of at most _SLOTS slots, so memory does not grow with the horizon:
+Two exact samplers, both numpy, whose working set does not grow with the
+horizon:
 
 - Threshold policies (never-transmit, fixed, per-slot mixed, and periodic
   with period 1) regenerate at (0, 0).  Every renewal cycle is a dwell at
   AoII 0 of Geom(1 - alpha) slots, a wait ramp AoII 1, 2, ... that ends
   when the source wanders back (probability mu per slot) or when the policy
   starts transmitting, and then an HARQ burst that lasts until the AoII
-  resets.  Cycles are drawn in blocks, each block's bursts as one array of
-  runs of failed transmissions (see _Bursts), and the block's per-slot AoII
-  follows from the cycle boundaries (Crane and Iglehart 1975; Asmussen and
-  Glynn, Stochastic Simulation, ch. IV).  The last block is cut at the
-  horizon.
+  resets, so its AoII climbs 1, ..., ramp after the dwell and its last blen
+  slots transmit.  Cycles are drawn in blocks, each block's bursts as one
+  array of runs of failed transmissions (see _Bursts).  The report comes
+  from per-cycle sums (renewal reward; Crane and Iglehart 1975; Asmussen and
+  Glynn, Stochastic Simulation, ch. IV): a cycle costs dwell f(0) + F[ramp],
+  F the prefix sums of f, and a batch boundary or the horizon cuts one cycle
+  into a known part.  Per-slot arrays of a block are built only for
+  keep_trajectory (_expand).
 - Periodic with period >= 2 never transmits in two consecutive slots, so
   every transmission goes out with r = 0 and "AoII = 0" is a two-state chain
   whose per-slot law depends only on whether the slot transmits.  Each slot's
   uniform fixes the map from this slot's indicator to the next one's
   (constant, identity or flip), and the composition is a last-constant index
   (maximum.accumulate) plus a flip parity (cumsum).  The AoII is then the
-  distance to the last zero.
+  distance to the last zero.  It takes one uniform per slot, so it works
+  per slot, in chunks of at most _SLOTS slots.
 
-simulate adds each chunk into its batch sums by batch index.  The per-slot
-cost is the pre-transition penalty f(delta_t), slot 0 included.
+Both yield their sums over the segments that batch boundaries cut a block or
+chunk into, and simulate adds them into its batch sums by batch index.  The
+per-slot cost is the pre-transition penalty f(delta_t), slot 0 included.
 One PCG64 stream per trajectory, drawn in a fixed order, so identical inputs
-and seed give bit-identical reports.  Replication seeds are derived with
-numpy's SeedSequence spawn keys, which are collision-free and independent of
-execution order.
+and seed give bit-identical reports, with or without keep_trajectory.
+Replication seeds are derived with numpy's SeedSequence spawn keys, which
+are collision-free and independent of execution order.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from math import ceil, sqrt
 
 import numpy as np
 
-_SLOTS = 4096  # most slots per chunk
+_SLOTS = 4096  # most slots per periodic chunk, and per period-1 dwell-decode draw
 _BLOCK = 8192  # slots a block of renewal cycles aims to cover
 _FAR = 1 << 62  # burst-start AoII of a cycle without a burst
 
@@ -140,7 +145,8 @@ class _Bursts:
     P(K > k) = prod_{j<k} gamma1(j); its K-th slot takes one of the other
     four outcomes of _cuts at r = K - 1.  A burst is the runs up to and
     including the first one that ends in a reset.  Per-count arrays grow on
-    demand, so every count a run can reach is covered.
+    demand, so every count a run can reach is covered.  Only per-burst and
+    per-run data are kept; _expand rebuilds the per-slot counts.
     """
 
     def __init__(self, source, channel):
@@ -150,13 +156,15 @@ class _Bursts:
     def _grow(self, n: int) -> None:
         cuts = _cuts(self._source, self._channel, range(n))
         keep = cuts[3] - cuts[2]
-        self._cuts = cuts[:3]
-        self._ending = 1.0 - keep  # mass of the four run-ending outcomes
+        # indexed by K = r + 1, so row by row each a 1-d gather
+        self._cuts = np.pad(cuts[:3], ((0, 0), (1, 0)))
+        self._ending = np.pad(1.0 - keep, (1, 0))  # mass of the four run-ending outcomes
         self._survival = np.cumprod(keep)[::-1]  # P(K > k) for k = n, ..., 1
 
     def draw(self, rng, n: int):
-        """(lengths, r, decoded) of n bursts: per burst its slot count, and per
-        slot, burst after burst, the count before it and whether it decoded."""
+        """(lengths, run_end, decoded) of n bursts: per burst its slot count,
+        and per run, burst after burst, the burst slots up to and including
+        its last one, and whether that last slot decoded."""
         if n == 0:
             return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
         runs, resets, decodes = [], [], []
@@ -167,8 +175,8 @@ class _Bursts:
             while u.min() < self._survival[0]:
                 self._grow(2 * self._survival.size)
             k = 1 + self._survival.size - np.searchsorted(self._survival, u, "right")
-            end = rng.random(m) * self._ending[k - 1]
-            c1, c2, c3 = self._cuts[:, k - 1]
+            end = rng.random(m) * self._ending[k]
+            c1, c2, c3 = (cut[k] for cut in self._cuts)
             reset = end < c2
             runs.append(k)
             resets.append(reset)
@@ -177,73 +185,132 @@ class _Bursts:
             drawn += m
             m = (n - found) * drawn // max(found, 1) + 16
         last = np.flatnonzero(np.concatenate(resets))[:n]
-        k = np.concatenate(runs)[: last[-1] + 1]
-        run_end = np.cumsum(k)
-        lengths = np.diff(run_end[last], prepend=0)
-        r = np.arange(run_end[-1]) - np.repeat(run_end - k, k)
-        decoded = np.zeros(run_end[-1], dtype=bool)
-        decoded[run_end - 1] = np.concatenate(decodes)[: k.size]
-        return lengths, r, decoded
+        run_end = np.cumsum(np.concatenate(runs)[: last[-1] + 1])
+        lengths = np.diff(np.concatenate(([0], run_end[last])))
+        return lengths, run_end, np.concatenate(decodes)[: run_end.size]
 
 
-def _cycle_block(rng, n_cycles, waits, source, bursts, limit):
-    """n_cycles renewal cycles from (0, 0): the slots they cover and, for the
-    first limit of those slots, per slot (delta, r, tx, decoded).  Its
-    temporaries, a few arrays per slot, are freed before the next block."""
+class _RampCost:
+    """F[m] = f(1) + ... + f(m), the penalty of an AoII ramp 1, ..., m, as one
+    running sum grown on demand (so F[m] does not depend on how far it grew),
+    and f0 = f(0)."""
+
+    def __init__(self, penalty):
+        self._penalty = penalty
+        self.f0 = float(penalty.evaluate(0))
+        self._grow(64)
+
+    def _grow(self, n: int) -> None:
+        self._table = np.concatenate(([0.0], np.cumsum(self._penalty.evaluate(np.arange(1, n)))))
+
+    def __getitem__(self, m: np.ndarray) -> np.ndarray:
+        while m.max(initial=0) >= self._table.size:
+            self._grow(2 * self._table.size)
+        return self._table[m]
+
+
+def _cycle_block(rng, n_cycles, waits, source, bursts):
+    """n_cycles renewal cycles from (0, 0): per cycle its dwell (AoII-0
+    slots), ramp (the AoII then climbs 1, ..., ramp) and blen (the last blen
+    ramp slots transmit), and per run of the block's bursts its end and
+    decode flag (see _Bursts.draw)."""
     dwell = rng.geometric(1.0 - source.alpha, n_cycles)
     need = waits(rng, n_cycles)
     back = rng.geometric(source.mu, n_cycles)  # wait slot at which the source returns
     burst = back > need
-    blen, rs, decoded = bursts.draw(rng, int(np.count_nonzero(burst)))
-    span = dwell + np.where(burst, need, back)
-    span[burst] += blen
-    first = np.zeros(n_cycles, dtype=np.int64)
-    first[burst] = np.cumsum(blen) - blen
-    covered = int(span.sum())
-    n = min(covered, limit)
-    cyc = np.repeat(np.arange(n_cycles), span)[:n]
-    lead = np.cumsum(span) - span + dwell - 1  # last AoII-0 slot of each cycle
+    lengths, run_end, decoded = bursts.draw(rng, int(np.count_nonzero(burst)))
+    ramp = np.where(burst, need, back)
+    blen = np.zeros(n_cycles, dtype=np.int64)
+    blen[burst] = lengths
+    ramp += blen
+    return dwell, ramp, blen, run_end, decoded
+
+
+def _expand(block, n, dwell_tx):
+    """Per-slot (delta, r, tx) of the first n slots of a block of cycles: the
+    only per-slot view of the regenerative sampler, for keep_trajectory."""
+    dwell, ramp, blen, run_end, _ = block
+    ends = np.cumsum(dwell + ramp)
+    cyc = np.searchsorted(ends, np.arange(n), "right")
+    lead = ends - ramp - 1  # last AoII-0 slot of each cycle
     delta = np.maximum(np.arange(n) - lead[cyc], 0)
-    at = delta - np.where(burst, need + 1, _FAR)[cyc]
+    at = delta - (ramp - blen + 1)[cyc]  # burst slot within its cycle's burst
     tx = at >= 0
-    pos = first[cyc[tx]] + at[tx]
+    pos = (np.cumsum(blen) - blen)[cyc[tx]] + at[tx]
+    k = np.diff(run_end, prepend=0)
     r = np.zeros(n, dtype=np.int32)
-    r[tx] = rs[pos]
-    hits = np.zeros(n, dtype=bool)
-    hits[tx] = decoded[pos]
-    return covered, delta, r, tx, hits
+    r[tx] = (np.arange(blen.sum()) - np.repeat(run_end - k, k))[pos]
+    return delta, r, (tx | (delta == 0) if dwell_tx else tx)
 
 
-def _cycle_slots(rng, waits, dwell_tx, source, channel, horizon):
-    """Regenerative sampler: yields the horizon's slots as (delta, r, tx,
-    decodes) chunks of at most _SLOTS slots.
+def _batch_starts(t0: int, n: int, size: int) -> list:
+    """Offsets in slots t0 .. t0 + n - 1 at which a batch of size slots
+    starts, led by 0: the segments that simulate adds by batch index."""
+    return [0, *range(-t0 % size or size, n, size)]
 
-    waits(rng, n) gives each cycle's wait slots before its burst (_FAR:
-    none); dwell_tx makes the AoII-0 slots transmit too (period 1).
+
+def _cycle_slots(rng, waits, dwell_tx, source, channel, penalty, size, horizon, keep):
+    """Regenerative sampler: yields the horizon block by block as (n, costs,
+    txs, top, decodes, slots), costs and txs being the sums over the segments
+    that start at _batch_starts, top the largest AoII.
+
+    The sums come from per-cycle totals: a cycle's penalty is
+    dwell f(0) + F[ramp] and it transmits blen slots, so the totals up to a
+    slot are those of the cycles before it plus a part of its own.  The
+    transmit slots are the burst slots in order, so the decodes before a cut
+    are the decoded runs that end within its transmissions.  waits(rng, n)
+    gives each cycle's wait slots before its burst (_FAR: none); dwell_tx
+    makes the AoII-0 slots transmit too (period 1), with the decodes of each
+    _SLOTS-slot slice's dwell slots drawn as one binomial.  slots is
+    _expand's (delta, r, tx) of the block if keep, else None.
     """
     p0 = channel.success_probability(0)
     bursts = _Bursts(source, channel)
-    drawn = 0  # slots covered by the drawn cycles
+    ramp_cost = _RampCost(penalty)
+    f0 = ramp_cost.f0
+    t0 = 0  # slots covered by the drawn cycles
     n_cycles = 16
-    while drawn < horizon:
-        covered, delta, r, tx, hits = _cycle_block(rng, n_cycles, waits, source, bursts, horizon - drawn)
-        for lo in range(0, delta.size, _SLOTS):
-            part = slice(lo, lo + _SLOTS)
-            d, t = delta[part], tx[part]
-            decodes = int(np.count_nonzero(hits[part]))
-            if dwell_tx:
-                dwelling = d == 0
-                t = t | dwelling
-                decodes += int(rng.binomial(np.count_nonzero(dwelling), p0))
-            yield d, r[part], t, decodes
+    while t0 < horizon:
+        block = _cycle_block(rng, n_cycles, waits, source, bursts)
+        dwell, ramp, blen, run_end, decoded = block
+        ends = np.cumsum(dwell + ramp)
+        starts = ends - dwell - ramp
+        covered = int(ends[-1])
+        n = min(covered, horizon - t0)
+        # AoII-0 slots, penalty and burst slots of the cycles before each one
+        # (a ramp past the horizon is cut, as only its first slots are read)
+        dwelt, cost, sent = (
+            np.concatenate(([0], np.cumsum(v)))
+            for v in (dwell, ramp_cost[np.minimum(ramp, n)] + f0 * dwell, blen)
+        )
+
+        def upto(x):
+            # the same totals over the block's first x slots, per entry of x
+            i = np.searchsorted(starts, x, "right") - 1
+            k = x - starts[i]
+            zeros = np.minimum(k, dwell[i])
+            into = k - zeros  # ramp slots
+            burst = sent[i] + np.maximum(into - ramp[i] + blen[i], 0)
+            return dwelt[i] + zeros, cost[i] + f0 * zeros + ramp_cost[into], burst
+
+        zeros, costs, txs = upto(np.array([*_batch_starts(t0, n, size), n]))
+        decodes = int(np.count_nonzero(decoded[: np.searchsorted(run_end, txs[-1], "right")]))
+        if dwell_tx:
+            txs = txs + zeros
+            for count in np.diff(upto(np.array([*range(0, n, _SLOTS), n]))[0]):
+                decodes += int(rng.binomial(count, p0))
+        top = int(np.max(np.minimum(ends, n) - starts - dwell, initial=0))
+        slots = _expand(block, n, dwell_tx) if keep else None
+        yield n, np.diff(costs), np.diff(txs), top, decodes, slots
         # burst arrays grow with the slots a block covers, so aim at _BLOCK
         n_cycles = max(16, min(2 * n_cycles, n_cycles * _BLOCK // covered))
-        drawn += covered
+        t0 += covered
 
 
-def _periodic_slots(rng, period, source, channel, horizon):
-    """Reset-indicator scan for a period >= 2: yields the horizon's slots as
-    (delta, r, tx, decodes) chunks of _SLOTS slots (the last one shorter).
+def _periodic_slots(rng, period, source, channel, penalty, size, horizon):
+    """Reset-indicator scan for a period >= 2: yields the horizon in chunks
+    of _SLOTS slots (the last one shorter) as _cycle_slots does, the segment
+    sums added up per slot and slots always the chunk's (delta, r, tx).
 
     One uniform per slot.  At AoII 0 the next AoII is 0 iff u < alpha (and a
     transmission decodes iff u < alpha*p or alpha <= u < alpha + (1-alpha)*p);
@@ -284,7 +351,10 @@ def _periodic_slots(rng, period, source, channel, horizon):
         kept = np.zeros(n, dtype=np.int32)
         kept[on] = ~zt & (ut >= c3) & (ut < c4)
         r = np.concatenate(([r_in], kept[:-1])).astype(np.int32)
-        yield delta, r, tx, int(np.count_nonzero(decodes))
+        at = _batch_starts(t0, n, size)
+        costs = np.add.reduceat(penalty.evaluate(delta), at)
+        txs = np.add.reduceat(tx, at, dtype=np.int64)
+        yield n, costs, txs, int(delta.max()), int(np.count_nonzero(decodes)), (delta, r, tx)
         zero, last_zero, r_in = bool(nxt[-1]), int(t[-1] - delta[-1]), int(kept[-1])
 
 
@@ -320,12 +390,12 @@ def simulate(
     n_batches = min(100, horizon)
     size = horizon // n_batches
     if isinstance(policy, Periodic) and policy.period > 1:
-        slots = _periodic_slots(rng, policy.period, source, channel, horizon)
-    elif isinstance(policy, Periodic):
-        # period 1: threshold-1 cycles whose AoII-0 slots transmit too
-        slots = _cycle_slots(rng, FixedThreshold(1).waits, True, source, channel, horizon)
+        chunks = _periodic_slots(rng, policy.period, source, channel, penalty, size, horizon)
     else:
-        slots = _cycle_slots(rng, policy.waits, False, source, channel, horizon)
+        # period 1: threshold-1 cycles whose AoII-0 slots transmit too
+        period_one = isinstance(policy, Periodic)
+        waits = FixedThreshold(1).waits if period_one else policy.waits
+        chunks = _cycle_slots(rng, waits, period_one, source, channel, penalty, size, horizon, keep_trajectory)
 
     # per batch; the bins past n_batches hold the slots past the last batch
     n_bins = (horizon - 1) // size + 1
@@ -336,19 +406,16 @@ def simulate(
     if keep_trajectory:
         traj = tuple(np.empty(horizon, dtype) for dtype in (np.int64, np.int32, np.uint8))
     t0 = 0
-    for delta, r, tx, decodes in slots:
-        t1 = t0 + delta.size
-        # chunk offsets at which the batches of slots t0 .. t1 - 1 start
-        at = [0, *range(-t0 % size or size, delta.size, size)]
+    for n, costs, txs, top, decodes, slots in chunks:
         b0 = t0 // size
-        cost_sums[b0 : b0 + len(at)] += np.add.reduceat(penalty.evaluate(delta), at)
-        tx_sums[b0 : b0 + len(at)] += np.add.reduceat(tx, at, dtype=np.int64)
-        max_delta = max(max_delta, int(delta.max()))
+        cost_sums[b0 : b0 + costs.size] += costs
+        tx_sums[b0 : b0 + txs.size] += txs
+        max_delta = max(max_delta, top)
         decoded += decodes
         if keep_trajectory:
-            for out, part in zip(traj, (delta, r, tx)):
-                out[t0:t1] = part
-        t0 = t1
+            for out, part in zip(traj, slots):
+                out[t0 : t0 + n] = part
+        t0 += n
 
     report = SimReport(
         horizon=horizon,

@@ -138,16 +138,17 @@ class TestSimulate:
     # the same cases for the package's samplers (regenerative cycles, and the
     # reset-indicator scan for Periodic): a change in what they draw, in
     # which order, changes these, and so does (in the last digits of the
-    # power rows) a change in the order the batch sums are added
+    # power rows) a change in how the batch sums are added up: per cycle for
+    # the threshold policies, per slot for Periodic
     PINNED_NUMPY = {
         ("linear", NeverTransmit()): (25.6926, 0.0, 1.2929873121159887, 0.0, 181, 0),
         ("linear", FixedThreshold(2)): (2.35875, 0.5197, 0.039346452293450906, 0.003951613913991665, 27, 5861),
         ("linear", MixedThreshold(2, 0.4)): (2.5335, 0.4849, 0.040863872315360185, 0.003949798613968705, 25, 5435),
         ("linear", Periodic(0.3)): (8.175, 0.25, 0.2964491456550279, 0.0, 67, 2548),
-        ("power", NeverTransmit()): (177.76152411377387, 0.0, 14.868399779223386, 0.0, 181, 0),
-        ("power", FixedThreshold(2)): (5.270139666323929, 0.5197, 0.1408821233988828, 0.003951613913991665, 27, 5861),
+        ("power", NeverTransmit()): (177.76152411377393, 0.0, 14.868399779223386, 0.0, 181, 0),
+        ("power", FixedThreshold(2)): (5.270139666323921, 0.5197, 0.14088212339888256, 0.003951613913991665, 27, 5861),
         ("power", MixedThreshold(2, 0.4)): (
-            5.7678448149181305, 0.4849, 0.14722365967829504, 0.003949798613968705, 25, 5435
+            5.767844814918126, 0.4849, 0.14722365967829504, 0.003949798613968705, 25, 5435
         ),
         ("power", Periodic(0.3)): (32.920935229995116, 0.25, 1.8920630675599086, 0.0, 67, 2548),
     }
@@ -208,35 +209,92 @@ class TestSimulate:
             digest.update(array.tobytes())
         assert digest.hexdigest() == self.TRAJECTORY_SHA256[setting, policy, horizon]
 
+    # Periodic(1.0): threshold-1 cycles whose AoII-0 slots transmit too, the
+    # decodes of each slice's dwell slots drawn as one binomial, which the
+    # trajectory does not show.  Per setting and horizon at seed 17, the
+    # report fields after (horizon, seed) and the trajectory's sha256
+    PERIOD_ONE = {
+        ("paper", 150): (
+            (2.1933333333333334, 1.0, 0.2703140709798455, 0.0, 10, 85),
+            "746aa207d0dbbbb525be91f40189981f2916644f71438656cb4a470beb1edc21",
+        ),
+        ("paper", 20_000): (
+            (2.06535, 1.0, 0.04814017070341084, 0.0, 25, 10732),
+            "00121523b86a3157df992c560b388b677c4200cfeb570a57a11309f6c1333db9",
+        ),
+        ("paper", 100_003): (
+            (2.0862474125776225, 1.0, 0.02177352437333845, 0.0, 27, 53758),
+            "c9b222829c3fae5d6b8666f0a0fa34fadb1d589090702701142ddb8f414e7a92",
+        ),
+        ("waiting", 150): (
+            (28.68, 1.0, 1.7959468957976603, 0.0, 68, 76),
+            "59e1272290f2c19a1ae4f84d4060da354f6b3db2e6452d57bf429380284e9cef",
+        ),
+        ("waiting", 20_000): (
+            (49.41555, 1.0, 3.424786835433202, 0.0, 399, 10158),
+            "288c1d1e4c5518e195d5185760823318f17018ee52ef740603faa0db73a35303",
+        ),
+        ("waiting", 100_003): (
+            (46.17301480955571, 1.0, 1.1886731803297967, 0.0, 399, 50283),
+            "133011603d0bb71b3d74441d7897036542a4f854d5400dbb806baff7bb87c3cf",
+        ),
+    }
+
+    @pytest.mark.parametrize("setting, horizon", list(PERIOD_ONE), ids=[f"{s}-{h}" for s, h in PERIOD_ONE])
+    def test_period_one_pinned(self, linear_penalty, setting, horizon):
+        source, channel = self.SETTINGS[setting]
+        fields, sha256 = self.PERIOD_ONE[setting, horizon]
+        report = simulate(Periodic(1.0), source, channel, linear_penalty, horizon, seed=17)
+        assert report == SimReport(horizon, 17, *fields)
+        kept, arrays = simulate(Periodic(1.0), source, channel, linear_penalty, horizon, seed=17, keep_trajectory=True)
+        assert kept == report
+        digest = hashlib.sha256()
+        for array in arrays:
+            digest.update(array.tobytes())
+        assert digest.hexdigest() == sha256
+
     @pytest.mark.parametrize("horizon", [1, 2, 150, 4097, 100_003])
     @pytest.mark.parametrize(
         "policy", [NeverTransmit(), FixedThreshold(3), MixedThreshold(2, 0.4), Periodic(0.3), Periodic(1.0)]
     )
-    def test_trajectory_matches_report(self, paper_source, paper_channel, policy, horizon):
+    def test_trajectory_matches_report(self, policy, horizon):
         # the report's sums, batch means and counts are those of the returned
-        # per-slot arrays, whatever the chunks the samplers yield
-        penalty = PenaltySpec.power(1.5)
-        report, (deltas, rs, actions) = simulate(
-            policy, paper_source, paper_channel, penalty, horizon, seed=3, keep_trajectory=True
-        )
+        # per-slot arrays: for the threshold policies, the per-cycle sums
+        # against the per-slot expansion of the same cycles.  The waiting
+        # setting's long ramps and bursts are cut by the horizon.  Integer
+        # penalties add up exactly in any order, so there the sums are equal
+        for setting, (source, channel) in self.SETTINGS.items():
+            for penalty in (PenaltySpec.power(1.5), PenaltySpec.linear(), PenaltySpec.from_table([0, 1, 3, 4, 6])):
+                self._check_trajectory_report(policy, source, channel, penalty, horizon)
+
+    @staticmethod
+    def _check_trajectory_report(policy, source, channel, penalty, horizon):
+        report, (deltas, rs, actions) = simulate(policy, source, channel, penalty, horizon, seed=3, keep_trajectory=True)
         assert (deltas.dtype, rs.dtype, actions.dtype) == (np.int64, np.int32, np.uint8)
-        assert report == simulate(policy, paper_source, paper_channel, penalty, horizon, seed=3)
+        assert report == simulate(policy, source, channel, penalty, horizon, seed=3)
         assert deltas[0] == 0 and rs[0] == 0
         assert np.all((deltas[1:] == 0) | (deltas[1:] == deltas[:-1] + 1))
         assert np.all((rs == 0) | (rs < deltas))
         costs = penalty.evaluate(deltas)
         n_batches = min(100, horizon)
         size = horizon // n_batches
-        means = costs[: n_batches * size].reshape(n_batches, size).mean(axis=1)
-        rate_means = actions[: n_batches * size].reshape(n_batches, size).mean(axis=1)
-        assert report.avg_aoii == pytest.approx(costs.mean(), rel=1e-12)
+
+        def batch_stderr(values):
+            # batch means of the per-slot values, summed per batch
+            if n_batches < 2:
+                return 0.0
+            sums = values[: n_batches * size].reshape(n_batches, size).sum(axis=1, dtype=values.dtype)
+            return float((sums / size).std(ddof=1) / math.sqrt(n_batches))
+
+        if penalty.kind == "power":
+            assert report.avg_aoii == pytest.approx(costs.mean(), rel=1e-12)
+            assert report.aoii_stderr == pytest.approx(batch_stderr(costs), rel=1e-9, abs=1e-15)
+        else:
+            assert report.avg_aoii == costs.sum() / horizon
+            assert report.aoii_stderr == batch_stderr(costs)
         assert report.avg_rate == actions.sum() / horizon
+        assert report.rate_stderr == batch_stderr(actions.astype(np.int64))
         assert report.max_delta_seen == deltas.max()
-        if n_batches > 1:
-            assert report.aoii_stderr == pytest.approx(means.std(ddof=1) / math.sqrt(n_batches), rel=1e-9, abs=1e-15)
-            assert report.rate_stderr == pytest.approx(
-                rate_means.std(ddof=1) / math.sqrt(n_batches), rel=1e-9, abs=1e-15
-            )
         assert report.decode_successes <= actions.sum()
         if isinstance(policy, Periodic):
             assert np.array_equal(np.flatnonzero(actions), np.arange(0, horizon, policy.period))
@@ -296,8 +354,9 @@ class TestSimulate:
 
     def test_working_set_does_not_grow_with_the_horizon(self, paper_source, paper_channel, linear_penalty):
         # one 1M-slot run per policy; the per-slot loop peaked at 25-33 MB here
-        # (three float arrays of the horizon and a schedule list), the samplers
-        # work in windows of a few thousand slots
+        # (three float arrays of the horizon and a schedule list).  The cycle
+        # sampler holds one block of cycles at a time, the periodic scan one
+        # chunk of at most 4096 slots
         for policy in (NeverTransmit(), FixedThreshold(2), MixedThreshold(2, 0.4), Periodic(0.3), Periodic(1.0)):
             tracemalloc.start()
             try:
@@ -306,6 +365,31 @@ class TestSimulate:
             finally:
                 tracemalloc.stop()
             assert peak < 3_000_000, (policy, peak)
+
+
+    def test_cycle_reports_hold_no_slot_arrays(self, paper_channel, linear_penalty):
+        # a dwell at AoII 0 lasts 10^4 slots on average, so a block of 16 or
+        # more cycles spans over 10^5 slots: expanded per slot, as
+        # keep_trajectory does, that took 6.5-10 MB here, its per-cycle sums
+        # about 20 kB
+        source = SourceModel.from_states(0.9999, 2)
+        simulate(FixedThreshold(2), source, paper_channel, linear_penalty, 1000, seed=5)  # first-call set-up
+        for policy in (FixedThreshold(2), MixedThreshold(2, 0.4), Periodic(1.0)):
+            tracemalloc.start()
+            try:
+                simulate(policy, source, paper_channel, linear_penalty, 1_000_000, seed=5)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 200_000, (policy, peak)
+        # a ramp of about 10^5 slots, cut at a horizon of 1000
+        tracemalloc.start()
+        try:
+            report = simulate(NeverTransmit(), SourceModel(0.5, 1e-5), paper_channel, linear_penalty, 1000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.max_delta_seen == 999 and peak < 200_000, (report, peak)
 
 
 class TestAgreesWithSlotLoop:
