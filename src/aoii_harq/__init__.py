@@ -36,7 +36,6 @@ from .model import (
     State,
     gamma,
     gamma_arrays,
-    p_success,
     transition_dist,
     validate_boundedness,
 )

@@ -9,13 +9,14 @@ where P is the substochastic transmission-burst matrix P[r, 0] = gamma2(r),
 P[r, r+1] = gamma1(r): row r describes the outcome of one transmit slot when
 the receiver already holds r packets, with the row deficit 1 - gamma1 - gamma2
 being the age reset that ends the burst.  The coefficients depend on r only
-through k states (burst_fold), so sigma_l = e0' Q^l 1 for a k x k Q, whose
+through k states (burst_chain), so sigma_l = e0' Q^l 1 for a k x k Q, whose
 sums come exactly from (I - Q)^-1 (Kemeny & Snell, 1960, ch. III).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,8 +54,10 @@ class SeriesConfig:
             raise ValueError("l_cap must be at least 1")
 
 
-def burst_fold(source, channel) -> tuple[np.ndarray, np.ndarray]:
-    """gamma1, gamma2 of the k states Q folds the burst counts into.
+@lru_cache(maxsize=1)
+def burst_chain(source, channel) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
+    """gamma1, gamma2 of the k states Q folds the burst counts into, x = (I-Q)^-1 1
+    and the sums of sigma_l and l sigma_l, shared by every caller: read-only.
 
     A finite round folds to its round_length counts and wraps; an unbounded
     round with constant coefficients (c = 1, or no combining) to one count.
@@ -66,15 +69,28 @@ def burst_fold(source, channel) -> tuple[np.ndarray, np.ndarray]:
     while n <= _FOLD_CEILING:
         g1, g2 = gamma_arrays(source, channel, n if period is None else min(n, period))
         if period is None and g1[1] == g1[0] and g2[1] == g2[0]:
-            return g1[:1], g2[:1]
+            g1, g2 = g1[:1], g2[:1]
+            break
         dead = np.flatnonzero(np.cumprod(g1) == 0.0)
         if dead.size:
-            g1[dead[0]] = 0.0
-            return g1[: dead[0] + 1], g2[: dead[0] + 1]
+            g1, g2 = np.append(g1[: dead[0]], 0.0), g2[: dead[0] + 1]
+            break
         if g1.size == period:
-            return g1, g2
+            break
         n *= 2
-    raise TruncationError(f"the burst chain does not fold within {_FOLD_CEILING} states")
+    else:
+        raise TruncationError(f"the burst chain does not fold within {_FOLD_CEILING} states")
+    # sum_l sigma_l = x_0 and sum_l l sigma_l = y_0 - x_0 for x = (I-Q)^-1 1
+    # and y = (I-Q)^-1 x.  With P_j = prod_{i<j} gamma1(i) and resets e,
+    # (I-Q) z = b unrolls to P_j (z_j - z_0) = sum_{i>=j} P_i (b_i - e_i z_0),
+    # 0 at j = 0; suffix sums run from the far end, where terms are small.
+    prefix = np.concatenate(([1.0], np.cumprod(g1[:-1])))
+    ends = prefix * (1.0 - g1 - g2)
+    total = float(prefix.sum() / ends.sum())
+    x = total + np.cumsum((prefix - ends * total)[::-1])[::-1] / prefix
+    moment = float(prefix @ x / ends.sum()) - total
+    g1.flags.writeable = g2.flags.writeable = x.flags.writeable = False
+    return g1, g2, x, total, moment
 
 
 class SigmaSeries:
@@ -82,19 +98,10 @@ class SigmaSeries:
 
     def __init__(self, source, channel, cfg: SeriesConfig):
         self._cfg = cfg
-        self.gamma1, self.gamma2 = burst_fold(source, channel)
+        self.gamma1, self.gamma2, self._x, self.total, self._moment = burst_chain(source, channel)
         self._v = np.zeros(self.gamma1.size)
         self._v[0] = 1.0
         self._sigma = [1.0]
-        # sum_l sigma_l = x_0 and sum_l l sigma_l = y_0 - x_0 for x = (I-Q)^-1 1
-        # and y = (I-Q)^-1 x.  With P_j = prod_{i<j} gamma1(i) and resets e,
-        # (I-Q) z = b unrolls to P_j (z_j - z_0) = sum_{i>=j} P_i (b_i - e_i z_0),
-        # 0 at j = 0; suffix sums run from the far end, where terms are small.
-        prefix = np.concatenate(([1.0], np.cumprod(self.gamma1[:-1])))
-        ends = prefix * (1.0 - self.gamma1 - self.gamma2)
-        self.total = float(prefix.sum() / ends.sum())
-        self._x = self.total + np.cumsum((prefix - ends * self.total)[::-1])[::-1] / prefix
-        self._moment = float(prefix @ self._x / ends.sum()) - self.total
 
     @property
     def depth(self) -> int:

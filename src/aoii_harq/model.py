@@ -102,19 +102,19 @@ class ChannelModel:
         """Number of attempts per HARQ round, or None when unbounded."""
         return None if self.r_max is None else self.r_max + 1
 
-    def success_probability(self, r: int) -> float:
-        if self.combining == "none":
-            return 1.0 - self.p_e
+    def error_probability(self, r):
+        """q(r) = p_e * c**(r mod (r_max+1)) for a count or an array of counts,
+        formed directly (1 - p(r) would cancel to 0 below 1.1e-16) and from
+        Python float powers, so an array holds the scalar call's bits."""
+        c = 1.0 if self.combining == "none" else self.c
         if self.r_max is not None:
             r = r % (self.r_max + 1)
-        return 1.0 - self.p_e * self.c**r
+        if np.ndim(r) == 0:
+            return self.p_e * c ** int(r)
+        return np.array([self.p_e * c**i for i in range(int(np.max(r, initial=0)) + 1)])[r]
 
-
-def p_success(channel, r: int) -> float:
-    """Decoding probability for the packet sent when the receiver holds r."""
-    if r < 0:
-        raise ValueError(f"transmission count must be nonnegative, got {r}")
-    return channel.success_probability(r)
+    def success_probability(self, r):
+        return 1.0 - self.error_probability(r)
 
 
 @dataclass(frozen=True)
@@ -220,14 +220,14 @@ class GammaPair:
 
 def gamma(source: SourceModel, channel, r: int) -> GammaPair:
     """Transmit-branch coefficients for transmission count r."""
-    q = 1.0 - channel.success_probability(r)
+    q = channel.error_probability(r)
     return GammaPair(source.alpha * q, 1.0 - source.alpha - source.mu * q)
 
 
 def gamma_arrays(source: SourceModel, channel, n: int) -> tuple[np.ndarray, np.ndarray]:
     """gamma1(r) and gamma2(r) for r < n as arrays, checked as GammaPair checks
     each pair."""
-    q = 1.0 - np.array([channel.success_probability(r) for r in range(n)], dtype=float)
+    q = channel.error_probability(np.arange(n))
     g1 = source.alpha * q
     g2 = 1.0 - source.alpha - source.mu * q
     bad = np.nonzero((g1 < 0.0) | (g2 < 0.0) | (g1 + g2 >= 1.0))[0]

@@ -32,6 +32,7 @@ REGIME_MIXED = "mixed"
 
 _MONOTONE_SLACK = 1e-12
 _CERTIFICATE_STEP = 1e-7  # relative price offset on each side of lambda*
+_BUDGET_TOL = 1e-9  # largest |predicted rate - R| a mixed solution may carry
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,8 @@ def solve_cmdp(
     series of the search, and tail_tol that of the mixed regime's AoII.
 
     The solution is certified: in the mixed regime the price-optimal
-    threshold just below and just above lambda* must be n_low and n_high.
+    threshold just below and just above lambda* must be n_low and n_high,
+    and the mixture's rate must meet R to within 1e-9.
     diagnostics["lambda_trace"] holds one (lambda, n0, rate) entry per
     threshold evaluated, lambda being the price at which n0 ties with n0 - 1
     (0 for the unconstrained threshold).
@@ -191,6 +193,8 @@ def solve_cmdp(
     predicted_rate, predicted_aoii = mixed_chain_analysis(
         n_low, rho_high, source, channel, penalty, tail_tol
     )
+    if not abs(predicted_rate - R) <= _BUDGET_TOL:
+        raise SolverError(f"certificate failed: the mixed policy's rate {predicted_rate!r} misses R={R!r}")
     return CmdpSolution(
         regime=REGIME_MIXED,
         lambda_star=lambda_star,

@@ -130,11 +130,12 @@ def _cuts(source, channel, rs) -> np.ndarray:
     decoded and reset, failed and reset, decoded and stale, failed with the
     count kept (r + 1), failed with the count restarted."""
     alpha, mu = source.alpha, source.mu
-    p = np.array([channel.success_probability(r) for r in rs], dtype=float)
+    q = channel.error_probability(rs)
+    p = 1.0 - q
     c1 = alpha * p
-    c2 = c1 + mu * (1.0 - p)
+    c2 = c1 + mu * q
     c3 = c2 + (1.0 - alpha) * p
-    return np.array([c1, c2, c3, c3 + alpha * (1.0 - p)])
+    return np.array([c1, c2, c3, c3 + alpha * q])
 
 
 class _Bursts:
@@ -154,7 +155,7 @@ class _Bursts:
         self._grow(64)
 
     def _grow(self, n: int) -> None:
-        cuts = _cuts(self._source, self._channel, range(n))
+        cuts = _cuts(self._source, self._channel, np.arange(n))
         keep = cuts[3] - cuts[2]
         # indexed by K = r + 1, so row by row each a 1-d gather
         self._cuts = np.pad(cuts[:3], ((0, 0), (1, 0)))
@@ -318,7 +319,7 @@ def _periodic_slots(rng, period, source, channel, penalty, size, horizon):
     transmit slot.
     """
     alpha, mu = source.alpha, source.mu
-    c1, c2, c3, c4 = _cuts(source, channel, [0])[:, 0]
+    c1, c2, c3, c4 = _cuts(source, channel, np.arange(1))[:, 0]
     p0 = channel.success_probability(0)
     zero, last_zero, r_in = True, 0, 0  # state entering the chunk
     for t0 in range(0, horizon, _SLOTS):

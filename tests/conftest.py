@@ -1,6 +1,7 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -31,13 +32,13 @@ def near_perfect_channel():
 
 
 class PerfectChannel:
-    """Duck-typed perfect decoder: p(r) = 1 exactly (not constructible as a
-    ChannelModel, whose error rate must stay positive)."""
+    """Duck-typed perfect decoder: q(r) = 1 - p(r) = 0 exactly (not
+    constructible as a ChannelModel, whose error rate must stay positive)."""
 
     round_length = None
 
-    def success_probability(self, r):
-        return 1.0
+    def error_probability(self, r):
+        return 0.0 * np.asarray(r, dtype=float)
 
 
 class ZeroPenalty:

@@ -208,6 +208,12 @@ class TestValidateCommand:
             assert check["tolerance"] >= 3.0 * iid_se * (1.0 - 1e-12)
             assert check["tolerance"] == pytest.approx(3.0 * max(iid_se, report.rate_stderr), rel=1e-12)
 
+    def test_one_chain_per_config(self, tmp_path):
+        lagrangian.burst_chain.cache_clear()
+        assert main(["validate", "--config", str(ROOT / "configs" / "example.json"),
+                     "--out", str(tmp_path / "checks.json")]) == 0
+        assert lagrangian.burst_chain.cache_info().misses == 1
+
     def test_waiting_regime_checks(self, tmp_path, capsys):
         cfg = write_config(tmp_path, source={"alpha": 0.01, "n_states": 32})
         assert main(["validate", "--config", cfg]) == 0

@@ -18,7 +18,7 @@ from aoii_harq import (
 )
 from aoii_harq import lagrangian
 from aoii_harq.errors import ThresholdSearchError
-from aoii_harq.lagrangian import SigmaSeries, burst_fold
+from aoii_harq.lagrangian import SigmaSeries, burst_chain
 from aoii_harq.rvi import RviConfig, extract_thresholds, rvi_solve
 
 
@@ -76,13 +76,13 @@ class TestSigmaSeries:
         (dict(p_e=0.5, c=0.5, r_max=500), 45),
     ], ids=["round", "round-no-combining", "no-combining", "c=1", "unbounded", "long-round"])
     def test_fold_sizes(self, kwargs, k):
-        g1, g2 = burst_fold(SourceModel(alpha=0.5, mu=1 / 30), ChannelModel(**kwargs))
-        assert g1.size == g2.size == k
+        g1, g2, x, _, _ = burst_chain(SourceModel(alpha=0.5, mu=1 / 30), ChannelModel(**kwargs))
+        assert g1.size == g2.size == x.size == k
 
     def test_unbounded_fold_ends_where_the_burst_cannot_pass(self):
         source = SourceModel(alpha=0.5, mu=1 / 30)
         channel = ChannelModel(p_e=0.5, c=0.9)
-        g1, g2 = burst_fold(source, channel)
+        g1, g2, *_ = burst_chain(source, channel)
         full1, full2 = gamma_arrays(source, channel, 4 * g1.size)
         prefix = np.cumprod(full1)
         assert prefix[g1.size - 2] > 0.0 and prefix[g1.size - 1] == 0.0
@@ -90,9 +90,17 @@ class TestSigmaSeries:
         assert np.array_equal(g1[:-1], full1[: g1.size - 1]) and np.array_equal(g2, full2[: g1.size])
 
     def test_fold_ceiling_reported(self, monkeypatch):
+        burst_chain.cache_clear()
         monkeypatch.setattr(lagrangian, "_FOLD_CEILING", 64)
         with pytest.raises(TruncationError):
-            burst_fold(SourceModel(alpha=0.5, mu=1 / 30), ChannelModel(p_e=0.5, c=0.99))
+            burst_chain(SourceModel(alpha=0.5, mu=1 / 30), ChannelModel(p_e=0.5, c=0.99))
+
+    def test_shared_chain_is_read_only(self, paper_source, paper_channel):
+        series = SigmaSeries(paper_source, paper_channel, SeriesConfig())
+        for array in burst_chain(paper_source, paper_channel)[:3]:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        assert series.gamma1 is burst_chain(paper_source, paper_channel)[0]
 
     def test_exact_sums_ignore_the_series_controls(self, paper_source, paper_channel, linear_penalty):
         loose = SigmaSeries(paper_source, paper_channel, SeriesConfig(1e-2, 1e-2, l_cap=1))

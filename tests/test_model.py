@@ -13,7 +13,6 @@ from aoii_harq import (
     WAIT,
     gamma,
     gamma_arrays,
-    p_success,
     transition_dist,
     validate_boundedness,
 )
@@ -66,19 +65,20 @@ class TestSourceModel:
 class TestChannelModel:
     def test_p_success_examples(self):
         unbounded = ChannelModel(p_e=0.5, c=0.5)
-        assert p_success(unbounded, 0) == pytest.approx(0.5)
-        assert p_success(unbounded, 1) == pytest.approx(0.75)
+        assert unbounded.success_probability(0) == pytest.approx(0.5)
+        assert unbounded.success_probability(1) == pytest.approx(0.75)
         wrapped = ChannelModel(p_e=0.5, c=0.5, r_max=2)
         # 3 mod 3 = 0 resets the round
-        assert p_success(wrapped, 3) == pytest.approx(0.5)
+        assert wrapped.success_probability(3) == pytest.approx(0.5)
 
     def test_no_combining_is_flat(self):
         flat = ChannelModel(p_e=0.3, c=0.5, combining="none")
-        assert all(p_success(flat, r) == pytest.approx(0.7) for r in range(10))
+        assert all(flat.success_probability(r) == pytest.approx(0.7) for r in range(10))
+        assert np.all(flat.error_probability(np.arange(10)) == 0.3)
 
     def test_non_decreasing_within_round_and_periodic(self):
         ch = ChannelModel(p_e=0.8, c=0.6, r_max=4)
-        probs = [p_success(ch, r) for r in range(20)]
+        probs = [ch.success_probability(r) for r in range(20)]
         for r in range(19):
             if (r + 1) % 5 != 0:
                 assert probs[r + 1] >= probs[r]
@@ -101,9 +101,9 @@ class TestChannelModel:
         # p_e * c**r can round to zero at large r, so allow p == 1.0 there
         rng = np.random.default_rng(7)
         for _, channel in random_models(rng, 50):
-            assert p_success(channel, 0) < 1.0
+            assert channel.success_probability(0) < 1.0
             for r in range(65):
-                assert 0.0 < p_success(channel, r) <= 1.0
+                assert 0.0 < channel.success_probability(r) <= 1.0
 
 
 class TestPenaltySpec:
@@ -181,8 +181,8 @@ class _FixedLaw:
     def __init__(self, p):
         self.p = p
 
-    def success_probability(self, r):
-        return self.p
+    def error_probability(self, r):
+        return 1.0 - self.p + 0.0 * np.asarray(r, dtype=float)
 
 
 class TestGammaArrays:
@@ -193,6 +193,13 @@ class TestGammaArrays:
             for r in range(65):
                 pair = gamma(source, channel, r)
                 assert (g1[r], g2[r]) == (pair.gamma1, pair.gamma2)
+
+    def test_failure_mass_is_exact(self):
+        # 1 - (1 - q) cancels to 0 once q = 0.9 * 0.5**r drops below 1.1e-16
+        source = SourceModel.from_states(0.5, 16)
+        g1, _ = gamma_arrays(source, ChannelModel(p_e=0.9, c=0.5), 65)
+        assert g1.tolist() == [source.alpha * (0.9 * 0.5**r) for r in range(65)]
+        assert g1.min() > 0.0
 
     @pytest.mark.parametrize("p", [1.5, -1.0])
     def test_rejects_what_gamma_pair_rejects(self, p):

@@ -117,22 +117,26 @@ class TestSolveCmdp:
         with pytest.raises(SolverError, match="certificate"):
             solve_cmdp(0.2, paper_source, paper_channel, linear_penalty)
 
-    @pytest.mark.parametrize("budget, regime, folds", [(0.2, REGIME_MIXED, 4), (1.0, REGIME_PURE_THRESHOLD, 2)])
-    def test_one_fold_serves_the_search(
-        self, monkeypatch, paper_source, paper_channel, linear_penalty, budget, regime, folds
-    ):
-        # the search and its certificate share one series; each achieved-rate
-        # and mixed-chain analysis folds its own
-        real = lagrangian.burst_fold
-        calls = []
-
-        def counted(source, channel):
-            calls.append(channel)
-            return real(source, channel)
-
-        monkeypatch.setattr(lagrangian, "burst_fold", counted)
+    @pytest.mark.parametrize("budget, regime", [(0.2, REGIME_MIXED), (1.0, REGIME_PURE_THRESHOLD)])
+    def test_one_fold_serves_the_search(self, paper_source, paper_channel, linear_penalty, budget, regime):
+        # the search, its certificate and every rate analysis share one chain
+        lagrangian.burst_chain.cache_clear()
         assert solve_cmdp(budget, paper_source, paper_channel, linear_penalty).regime == regime
-        assert len(calls) == folds
+        assert lagrangian.burst_chain.cache_info().misses == 1
+
+    def test_budget_certificate(self, monkeypatch, paper_source, paper_channel, linear_penalty):
+        # a mixture whose rate misses the budget by more than 1e-9 is refused
+        real = optimizer.mixed_chain_analysis
+
+        def off_budget(*args, **kwargs):
+            rate, aoii = real(*args, **kwargs)
+            return rate + 2e-9, aoii
+
+        sol = solve_cmdp(0.2, paper_source, paper_channel, linear_penalty)
+        assert sol.regime == REGIME_MIXED and abs(sol.predicted_rate - 0.2) <= 1e-9
+        monkeypatch.setattr(optimizer, "mixed_chain_analysis", off_budget)
+        with pytest.raises(SolverError, match="misses R"):
+            solve_cmdp(0.2, paper_source, paper_channel, linear_penalty)
 
     def test_boundedness_gate(self, linear_penalty):
         source = SourceModel(alpha=0.5, mu=1e-9)

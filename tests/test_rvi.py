@@ -145,7 +145,9 @@ PIN_CASES = {
 }
 
 # name: (sha256 of values, sha256 of greedy_transmit, repr(g), iterations, converged),
-# recorded from the delta-major sweep that the r-major one replaced
+# recorded from the delta-major sweep that the r-major one replaced; table,
+# smallest-grid and unconverged (non-dyadic p_e or c) re-recorded once the
+# failure mass q = p_e c^r was formed directly instead of as 1 - p(r)
 PINS = {
     "paper-lam0": ("017dc9ddfd58a5e8c029d3f42b9711eddecb5fc67211eb4f6b6a79cf4f5fda15",
                    "c0b07d7ce7115c1b0c8eddb212c29f0c515f1199c3330e946cad9eb79d98c6ef",
@@ -162,16 +164,16 @@ PINS = {
     "power-1.5": ("c45e5f0b5d1bbdde809c6bef53a0b16fcf093b79735dfd8556a6e63bfb23e674",
                   "e49bb2da23c62bef0c415190e8c63113fae06050a11bb864c988ad9e99ac921b",
                   "18.998393780342266", 117, True),
-    "table": ("6946ec60356503afbfc95abfb050eee9c42b2718334c46a8f9d4e1af5938376a",
+    "table": ("47c3a5272de81fcfcb55ae95f25c4ae107ae86a2e924357995ed5522ef769753",
               "7818cc24b4fc046fe0d15074fa86810352bfc5a608aaf4fa50e532d12990c1cd",
-              "18.86109213345493", 133, True),
-    "smallest-grid": ("8a0cd1a6876fcdf62ab4dabe3c1eb5b2f0827c4effcb1b770c677609799b1544",
+              "18.86109213345492", 133, True),
+    "smallest-grid": ("0d6ef86cda479308c4986e1df57b05970cd5b4fad3c996bbd391dd0ccf1e53e5",
                       "cdd527f2f138ddd775902d637b6e2cf57140b556aeb4fd7e39d9652043735da5",
                       "0.22972067038752333", 12, True),
     "r_cap-is-round": ("64e4c229c3a31501039e765526cbe6829c320c1a785d98d33f4b9dcf14aec5a4",
                        "acd0d68cbefae3468d33f3e7d9548a3f1086606b6ff2061a314ebccdd11bdce4",
                        "9.565031997678814", 248, True),
-    "unconverged": ("b47e77ccbdbaf9e6407330bdea0d2afe4e306fe845e267a606185e6d2bfe3abb",
+    "unconverged": ("6847c5d5ec244ef4f56df7f7e1a8d6729f10853c03b22d3580318e2773470bbd",
                     "846b687e14d60f871d53747845529b5adfb34e425b8d6aa8eac681cedaf42da1",
                     "0.42939999999999995", 3, False),
 }
