@@ -28,10 +28,10 @@ class SolverSettings:
 
     def __post_init__(self) -> None:
         self.series_config()  # checks epsilon, weighted_epsilon and l_cap
-        if not self.lambda_tol > 0.0 or not self.tail_tol > 0.0:
-            raise ValueError(
-                f"lambda_tol and tail_tol must be positive, got {self.lambda_tol} and {self.tail_tol}"
-            )
+        if not self.lambda_tol > 0.0:
+            raise ValueError(f"lambda_tol must be positive, got {self.lambda_tol}")
+        if not 0.0 < self.tail_tol < 1.0:  # a cut on sigma terms, which start at 1
+            raise ValueError(f"tail_tol must lie in (0, 1), got {self.tail_tol}")
 
     def series_config(self) -> SeriesConfig:
         return SeriesConfig(self.epsilon, self.weighted_epsilon, self.l_cap)

@@ -21,7 +21,7 @@ from typing import Optional
 import scipy  # noqa: F401  (benchmark workers report the loaded scipy version)
 
 from .errors import BoundednessError, SolverError
-from .lagrangian import SeriesConfig, SigmaSeries, cycle_sums, g_wait, least_true, optimal_threshold
+from .lagrangian import SeriesConfig, cycle_sums, g_wait, least_true, optimal_threshold
 from .model import validate_boundedness
 from .rate import achieved_rate, mixed_chain_analysis
 from .sim import FixedThreshold, MixedThreshold, NeverTransmit
@@ -113,8 +113,8 @@ def solve_cmdp(
         raise ValueError(f"rate budget must lie in (0, 1], got {R}")
     if not lambda_tol > 0.0:
         raise ValueError(f"lambda_tol must be positive, got {lambda_tol}")
-    if not tail_tol > 0.0:
-        raise ValueError(f"tail_tol must be positive, got {tail_tol}")
+    if not 0.0 < tail_tol < 1.0:
+        raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
     if not validate_boundedness(source, channel, penalty):
         raise BoundednessError(
             "the boundedness certificate failed: the average AoII of the "
@@ -135,12 +135,11 @@ def solve_cmdp(
             diagnostics={"lambda_trace": (), "lambda_iterations": 0},
         )
 
-    series = SigmaSeries(source, channel, cfg)
     sums: dict[int, tuple[float, float, float]] = {}
 
     def cycle(n0: int) -> tuple[float, float, float]:
         if n0 not in sums:
-            sums[n0] = cycle_sums(n0, source, channel, penalty, cfg, series=series)
+            sums[n0] = cycle_sums(n0, source, channel, penalty, cfg)
         return sums[n0]
 
     def rate(n0: int) -> float:
@@ -150,7 +149,7 @@ def solve_cmdp(
     def diagnostics() -> dict:
         return {"lambda_trace": tuple(trace), "lambda_iterations": len(trace)}
 
-    n_zero = optimal_threshold(0.0, source, channel, penalty, cfg, series=series)
+    n_zero = optimal_threshold(0.0, source, channel, penalty, cfg)
     trace = [(0.0, n_zero, rate(n_zero))]
     if rate(n_zero) <= R:
         length, _, cost = cycle(n_zero)
@@ -180,7 +179,7 @@ def solve_cmdp(
     lambda_star = _tie_price(cycle(n_low), cycle(n_high))
     for lam, expected in ((lambda_star * (1.0 - _CERTIFICATE_STEP), n_low),
                           (lambda_star * (1.0 + _CERTIFICATE_STEP), n_high)):
-        n0 = optimal_threshold(lam, source, channel, penalty, cfg, series=series)
+        n0 = optimal_threshold(lam, source, channel, penalty, cfg)
         if n0 != expected:
             raise SolverError(
                 f"certificate failed: the optimal threshold at lambda={lam!r} is {n0}, "

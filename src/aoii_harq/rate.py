@@ -21,7 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .lagrangian import SeriesConfig, SigmaSeries, cycle_sums
+from .lagrangian import SeriesConfig, burst_chain, cycle_sums
+from .model import PenaltySpec
 
 
 @dataclass(frozen=True)
@@ -40,34 +41,46 @@ def m_table(source, channel, h_max: int) -> MTable:
     running products of gamma1 over the counts."""
     if h_max < 0:
         raise ValueError(f"h_max must be nonnegative, got {h_max}")
-    series = SigmaSeries(source, channel, SeriesConfig(l_cap=max(h_max, 1)))
-    m0 = np.ones(h_max + 1)
-    for h in range(1, h_max + 1):
-        m0[h] = series.mass @ series.gamma2
-        series.step()
+    series = burst_chain(source, channel)
     prefix = np.concatenate(([1.0], np.cumprod(np.resize(series.gamma1, h_max))))
-    return MTable(h_max, m0, prefix)
+    return MTable(h_max, series.inflow(h_max), prefix)
 
 
 @dataclass(frozen=True)
 class RateAnalysis:
-    """Stationary summary of the threshold-n0 chain.
+    """Stationary summary of the threshold-n0 chain, from its cycle sums L, T.
 
-    The law stops at ``depth``, the first sigma term below the tail
-    tolerance.  ``stationary`` maps (delta, r) to probability over the ramp
-    and the burst layers h < depth, and ``stationary_arrays`` holds the same
-    law as (delta, r, probability) arrays in the same order; each is built on
-    first read.  The exact mass of the layers from ``depth`` on is
-    ``truncation_mass``, so the law plus it sums to one.
+    The law stops at ``depth``, the first sigma term below ``cut.epsilon``.
+    ``stationary`` maps (delta, r) to probability over the ramp and the burst
+    layers h < depth, and ``stationary_arrays`` holds the same law as (delta,
+    r, probability) arrays in the same order.  The exact mass of the layers
+    from ``depth`` on is ``truncation_mass``, so the law plus it sums to one.
+    The depth, the mass and the law are each built on first read.
     """
 
     n0: int
-    q00: float
-    rate: float
-    truncation_mass: float
-    depth: int
+    length: float
+    transmissions: float
+    cut: SeriesConfig
     source: object = field(repr=False, compare=False)
     channel: object = field(repr=False, compare=False)
+
+    @property
+    def q00(self) -> float:
+        return 1.0 / ((1.0 - self.source.alpha) * self.length)
+
+    @property
+    def rate(self) -> float:
+        return self.transmissions / self.length
+
+    @cached_property
+    def depth(self) -> int:
+        return burst_chain(self.source, self.channel).cutoff(self.cut)
+
+    @cached_property
+    def truncation_mass(self) -> float:
+        pref = (1.0 - self.source.mu) ** (self.n0 - 1)
+        return pref * burst_chain(self.source, self.channel).tail(self.depth) / self.length
 
     @cached_property
     def stationary_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -92,18 +105,9 @@ class RateAnalysis:
 def achieved_rate(n0: int, source, channel, tail_tol: float = 1e-12) -> RateAnalysis:
     """Exact transmission rate T/L of the threshold-n0 policy; its stationary
     law stops at the first sigma term below tail_tol."""
-    if n0 < 1:
-        raise ValueError(f"threshold must be >= 1, got {n0}")
-    series = SigmaSeries(source, channel, SeriesConfig(epsilon=tail_tol))
-    depth = series.cutoff()
-    alpha, mu = source.alpha, source.mu
-    pref = (1.0 - mu) ** (n0 - 1)
-    transmissions = pref * series.total
-    length = 1.0 / (1.0 - alpha) + (1.0 - pref) / mu + transmissions
-    q00 = 1.0 / ((1.0 - alpha) * length)
-    return RateAnalysis(
-        n0, q00, transmissions / length, pref * series.tail() / length, depth, source, channel
-    )
+    cut = SeriesConfig(epsilon=tail_tol)
+    length, transmissions, _ = cycle_sums(n0, source, channel, PenaltySpec.linear())
+    return RateAnalysis(n0, length, transmissions, cut, source, channel)
 
 
 def mixed_chain_analysis(
@@ -129,8 +133,8 @@ def mixed_chain_analysis(
         raise ValueError(f"n_low must be >= 1, got {n_low}")
     if not 0.0 <= rho_high <= 1.0:
         raise ValueError(f"rho_high must lie in [0, 1], got {rho_high}")
-    series = SigmaSeries(source, channel, SeriesConfig(epsilon=tail_tol))
-    low = cycle_sums(n_low, source, channel, penalty, series=series)
-    high = cycle_sums(n_low + 1, source, channel, penalty, series=series)
+    cut = SeriesConfig(epsilon=tail_tol)
+    low = cycle_sums(n_low, source, channel, penalty, cut)
+    high = cycle_sums(n_low + 1, source, channel, penalty, cut)
     length, transmissions, cost = (rho_high * h + (1.0 - rho_high) * l for h, l in zip(high, low))
     return transmissions / length, cost / length

@@ -155,8 +155,9 @@ class _Bursts:
         self._grow(64)
 
     def _grow(self, n: int) -> None:
-        cuts = _cuts(self._source, self._channel, np.arange(n))
-        keep = cuts[3] - cuts[2]
+        rs = np.arange(n)
+        cuts = _cuts(self._source, self._channel, rs)
+        keep = self._source.alpha * self._channel.error_probability(rs)  # gamma1(r), from the exact q
         # indexed by K = r + 1, so row by row each a 1-d gather
         self._cuts = np.pad(cuts[:3], ((0, 0), (1, 0)))
         self._ending = np.pad(1.0 - keep, (1, 0))  # mass of the four run-ending outcomes

@@ -7,6 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from aoii_harq import ChannelModel, PenaltySpec, SourceModel
+from aoii_harq.lagrangian import SigmaSeries, burst_chain
 
 
 @pytest.fixture
@@ -63,3 +64,18 @@ def perfect_channel():
 @pytest.fixture
 def zero_penalty():
     return ZeroPenalty()
+
+
+@pytest.fixture
+def sigma_steps(monkeypatch):
+    """Counts SigmaSeries.step calls (list of one int) from a cleared chain cache."""
+    count = [0]
+    step = SigmaSeries.step
+
+    def counted(self):
+        count[0] += 1
+        step(self)
+
+    monkeypatch.setattr(SigmaSeries, "step", counted)
+    burst_chain.cache_clear()
+    return count

@@ -214,6 +214,15 @@ class TestValidateCommand:
                      "--out", str(tmp_path / "checks.json")]) == 0
         assert lagrangian.burst_chain.cache_info().misses == 1
 
+    def test_one_walk_per_config(self, tmp_path, sigma_steps):
+        # the sigma checks, rate analyses and stationary laws read one walk
+        path = ROOT / "configs" / "example.json"
+        assert main(["validate", "--config", str(path), "--out", str(tmp_path / "checks.json")]) == 0
+        steps = sigma_steps[0]
+        run = load_config(str(path))
+        _, depth = lagrangian.sigma_series(run.source, run.channel, run.solver.series_config())
+        assert steps == depth
+
     def test_waiting_regime_checks(self, tmp_path, capsys):
         cfg = write_config(tmp_path, source={"alpha": 0.01, "n_states": 32})
         assert main(["validate", "--config", cfg]) == 0
@@ -249,6 +258,8 @@ BAD_INPUTS = [
     pytest.param({"solver": {"epsilon": -1}}, [], "solver", "epsilon", id="solver.epsilon=-1"),
     pytest.param({"solver": {"l_cap": 0}}, [], "solver", "l_cap", id="solver.l_cap=0"),
     pytest.param({"solver": {"tail_tol": 0}}, [], "solver", "tail_tol", id="solver.tail_tol=0"),
+    pytest.param({"solver": {"epsilon": 2}}, [], "solver", "epsilon", id="solver.epsilon=2"),
+    pytest.param({"solver": {"tail_tol": 1}}, [], "solver", "tail_tol", id="solver.tail_tol=1"),
     pytest.param({"sim": {"seed": -1}}, [], "sim", "seed", id="sim.seed=-1"),
     pytest.param({"validate": {"thresholds": [0]}}, [], "validate", "thresholds", id="thresholds=[0]"),
     pytest.param({"validate": {"thresholds": [1.7]}}, [], "validate.thresholds[0]", "integer",

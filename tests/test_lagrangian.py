@@ -8,6 +8,7 @@ from aoii_harq import (
     SeriesConfig,
     SourceModel,
     TruncationError,
+    achieved_rate,
     g_for_threshold,
     g_wait,
     gamma,
@@ -18,7 +19,7 @@ from aoii_harq import (
 )
 from aoii_harq import lagrangian
 from aoii_harq.errors import ThresholdSearchError
-from aoii_harq.lagrangian import SigmaSeries, burst_chain
+from aoii_harq.lagrangian import burst_chain
 from aoii_harq.rvi import RviConfig, extract_thresholds, rvi_solve
 
 
@@ -76,13 +77,14 @@ class TestSigmaSeries:
         (dict(p_e=0.5, c=0.5, r_max=500), 45),
     ], ids=["round", "round-no-combining", "no-combining", "c=1", "unbounded", "long-round"])
     def test_fold_sizes(self, kwargs, k):
-        g1, g2, x, _, _ = burst_chain(SourceModel(alpha=0.5, mu=1 / 30), ChannelModel(**kwargs))
-        assert g1.size == g2.size == x.size == k
+        series = burst_chain(SourceModel(alpha=0.5, mu=1 / 30), ChannelModel(**kwargs))
+        assert series.gamma1.size == series.gamma2.size == series.x.size == k
 
     def test_unbounded_fold_ends_where_the_burst_cannot_pass(self):
         source = SourceModel(alpha=0.5, mu=1 / 30)
         channel = ChannelModel(p_e=0.5, c=0.9)
-        g1, g2, *_ = burst_chain(source, channel)
+        series = burst_chain(source, channel)
+        g1, g2 = series.gamma1, series.gamma2
         full1, full2 = gamma_arrays(source, channel, 4 * g1.size)
         prefix = np.cumprod(full1)
         assert prefix[g1.size - 2] > 0.0 and prefix[g1.size - 1] == 0.0
@@ -96,26 +98,67 @@ class TestSigmaSeries:
             burst_chain(SourceModel(alpha=0.5, mu=1 / 30), ChannelModel(p_e=0.5, c=0.99))
 
     def test_shared_chain_is_read_only(self, paper_source, paper_channel):
-        series = SigmaSeries(paper_source, paper_channel, SeriesConfig())
-        for array in burst_chain(paper_source, paper_channel)[:3]:
+        series = burst_chain(paper_source, paper_channel)
+        for array in (series.gamma1, series.gamma2, series.x):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
-        assert series.gamma1 is burst_chain(paper_source, paper_channel)[0]
+        assert series.gamma1 is burst_chain(paper_source, paper_channel).gamma1
 
     def test_exact_sums_ignore_the_series_controls(self, paper_source, paper_channel, linear_penalty):
-        loose = SigmaSeries(paper_source, paper_channel, SeriesConfig(1e-2, 1e-2, l_cap=1))
-        tight = SigmaSeries(paper_source, paper_channel, SeriesConfig(1e-15, 1e-15))
-        assert loose.sums_for(5, linear_penalty) == tight.sums_for(5, linear_penalty)
-        assert loose.depth == 0
+        burst_chain.cache_clear()
+        series = burst_chain(paper_source, paper_channel)
+        loose, tight = SeriesConfig(1e-2, 1e-2, l_cap=1), SeriesConfig(1e-15, 1e-15)
+        assert series.sums_for(5, linear_penalty, loose) == series.sums_for(5, linear_penalty, tight)
+        assert series.depth == 0
         sigmas, _ = sigma_series(paper_source, paper_channel, SeriesConfig(epsilon=1e-300))
         ls = np.arange(sigmas.size)
-        assert tight.sums_for(5, linear_penalty) == pytest.approx(
+        assert series.sums_for(5, linear_penalty, tight) == pytest.approx(
             (sigmas.sum(), (5 + ls) @ sigmas), rel=1e-13
         )
 
     def test_truncation_failure_reported(self, paper_source, paper_channel):
         with pytest.raises(TruncationError):
             sigma_series(paper_source, paper_channel, SeriesConfig(epsilon=1e-12, l_cap=5))
+
+    def test_answers_do_not_depend_on_the_walk_so_far(self, paper_source, paper_channel):
+        burst_chain.cache_clear()
+        power = PenaltySpec.power(1.5)
+        sigmas, depth = sigma_series(paper_source, paper_channel)
+        analysis = achieved_rate(4, paper_source, paper_channel)
+        first = (analysis.depth, analysis.truncation_mass)
+        value = value_at(6, 4, 1.0, 3.0, paper_source, paper_channel, power)
+        deep, _ = sigma_series(paper_source, paper_channel, SeriesConfig(epsilon=1e-300))
+        assert burst_chain(paper_source, paper_channel).depth == deep.size - 1 > depth
+        again, again_depth = sigma_series(paper_source, paper_channel)
+        assert again_depth == depth and np.array_equal(again, sigmas)
+        analysis = achieved_rate(4, paper_source, paper_channel)
+        assert (analysis.depth, analysis.truncation_mass) == first
+        assert value_at(6, 4, 1.0, 3.0, paper_source, paper_channel, power) == value
+        with pytest.raises(TruncationError):
+            sigma_series(paper_source, paper_channel, SeriesConfig(l_cap=5))
+        with pytest.raises(TruncationError):
+            value_at(6, 4, 1.0, 3.0, paper_source, paper_channel, power, SeriesConfig(l_cap=5))
+
+    def test_cut_at_the_cap_is_allowed(self, paper_source, paper_channel):
+        _, depth = sigma_series(paper_source, paper_channel)
+        burst_chain.cache_clear()
+        assert sigma_series(paper_source, paper_channel, SeriesConfig(l_cap=depth))[1] == depth
+        with pytest.raises(TruncationError):
+            sigma_series(paper_source, paper_channel, SeriesConfig(l_cap=depth - 1))
+        assert burst_chain(paper_source, paper_channel).depth == depth
+
+    def test_one_walk_serves_every_query(self, paper_source, paper_channel, sigma_steps):
+        _, depth = sigma_series(paper_source, paper_channel)
+        assert sigma_steps[0] == depth
+        analysis = achieved_rate(3, paper_source, paper_channel)
+        analysis.stationary_arrays
+        sigma_series(paper_source, paper_channel)
+        assert sigma_steps[0] == depth == analysis.depth
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1.0, 2.0])
+    def test_epsilon_must_lie_below_the_first_term(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            SeriesConfig(epsilon=epsilon)
 
 
 class TestGForThreshold:

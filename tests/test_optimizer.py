@@ -124,6 +124,15 @@ class TestSolveCmdp:
         assert solve_cmdp(budget, paper_source, paper_channel, linear_penalty).regime == regime
         assert lagrangian.burst_chain.cache_info().misses == 1
 
+    @pytest.mark.parametrize("alpha, budget, regime", [
+        (0.01, 0.2, REGIME_NEVER_TRANSMIT), (0.5, 1.0, REGIME_PURE_THRESHOLD), (0.5, 0.2, REGIME_MIXED),
+    ])
+    def test_linear_solve_walks_no_series(self, paper_channel, linear_penalty, sigma_steps, alpha, budget, regime):
+        # every linear-penalty sum is exact, and rate analyses walk only when read
+        source = SourceModel.from_states(alpha, 16)
+        assert solve_cmdp(budget, source, paper_channel, linear_penalty).regime == regime
+        assert sigma_steps[0] == 0
+
     def test_budget_certificate(self, monkeypatch, paper_source, paper_channel, linear_penalty):
         # a mixture whose rate misses the budget by more than 1e-9 is refused
         real = optimizer.mixed_chain_analysis

@@ -25,6 +25,7 @@ from aoii_harq import (
     split_seed,
     transition_dist,
 )
+from aoii_harq.sim import _Bursts
 
 
 class TestPolicies:
@@ -390,6 +391,14 @@ class TestSimulate:
         finally:
             tracemalloc.stop()
         assert report.max_delta_seen == 999 and peak < 200_000, (report, peak)
+
+    def test_burst_survival_is_the_exact_keep_product(self):
+        # P(K > k) = prod_{r<k} alpha q(r), with q formed directly, not as a
+        # difference of cumulative cuts near 1
+        source, channel = SourceModel.from_states(0.5, 16), ChannelModel(0.9, 0.5)
+        survival = _Bursts(source, channel)._survival[::-1]
+        q = channel.error_probability(np.arange(survival.size))
+        assert np.array_equal(survival, np.cumprod(source.alpha * q))
 
 
 class TestAgreesWithSlotLoop:
