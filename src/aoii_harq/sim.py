@@ -14,19 +14,18 @@ horizon:
   from per-cycle sums (renewal reward; Crane and Iglehart 1975; Asmussen and
   Glynn, Stochastic Simulation, ch. IV): a cycle costs dwell f(0) + F[ramp],
   F the prefix sums of f, and a batch boundary or the horizon cuts one cycle
-  into a known part.  Per-slot arrays of a block are built only for
-  keep_trajectory (_expand).
+  into a known part (segments).  Per-slot arrays of a block are built only
+  for keep_trajectory (_expand).
 - Periodic with period >= 2 never transmits in two consecutive slots, so
-  every transmission goes out with r = 0 and "AoII = 0" is a two-state chain
-  whose per-slot law depends only on whether the slot transmits.  Each slot's
-  uniform fixes the map from this slot's indicator to the next one's
-  (constant, identity or flip), and the composition is a last-constant index
-  (maximum.accumulate) plus a flip parity (cumsum).  The AoII is then the
-  distance to the last zero.  It takes one uniform per slot, so it works
-  per slot, in chunks of at most _SLOTS slots.
+  every transmission goes out with r = 0, and a stale AoII resets at a
+  slot with a probability that depends only on whether the slot transmits.
+  The marks module draws these reset marks up front, independent of the
+  state, and one Geom(1 - alpha) draw per mark fixes how long the AoII
+  stays at 0 before it climbs to the next mark.  It works per mark, not
+  per slot.
 
-Both yield their sums over the segments that batch boundaries cut a block or
-chunk into, and simulate adds them into its batch sums by batch index.  The
+Both yield their sums over the segments that batch boundaries cut a block
+into, and simulate adds them into its batch sums by batch index.  The
 per-slot cost is the pre-transition penalty f(delta_t), slot 0 included.
 One PCG64 stream per trajectory, drawn in a fixed order, so identical inputs
 and seed give bit-identical reports, with or without keep_trajectory.
@@ -41,7 +40,10 @@ from math import ceil, sqrt
 
 import numpy as np
 
-_SLOTS = 4096  # most slots per periodic chunk, and per period-1 dwell-decode draw
+from .marks import periodic_blocks
+from .segments import RampCost, Segments, batch_starts
+
+_SLOTS = 4096  # most slots per period-1 dwell-decode draw
 _BLOCK = 8192  # slots a block of renewal cycles aims to cover
 _FAR = 1 << 62  # burst-start AoII of a cycle without a burst
 
@@ -192,25 +194,6 @@ class _Bursts:
         return lengths, run_end, np.concatenate(decodes)[: run_end.size]
 
 
-class _RampCost:
-    """F[m] = f(1) + ... + f(m), the penalty of an AoII ramp 1, ..., m, as one
-    running sum grown on demand (so F[m] does not depend on how far it grew),
-    and f0 = f(0)."""
-
-    def __init__(self, penalty):
-        self._penalty = penalty
-        self.f0 = float(penalty.evaluate(0))
-        self._grow(64)
-
-    def _grow(self, n: int) -> None:
-        self._table = np.concatenate(([0.0], np.cumsum(self._penalty.evaluate(np.arange(1, n)))))
-
-    def __getitem__(self, m: np.ndarray) -> np.ndarray:
-        while m.max(initial=0) >= self._table.size:
-            self._grow(2 * self._table.size)
-        return self._table[m]
-
-
 def _cycle_block(rng, n_cycles, waits, source, bursts):
     """n_cycles renewal cycles from (0, 0): per cycle its dwell (AoII-0
     slots), ramp (the AoII then climbs 1, ..., ramp) and blen (the last blen
@@ -228,14 +211,11 @@ def _cycle_block(rng, n_cycles, waits, source, bursts):
     return dwell, ramp, blen, run_end, decoded
 
 
-def _expand(block, n, dwell_tx):
+def _expand(cycles, block, n, dwell_tx):
     """Per-slot (delta, r, tx) of the first n slots of a block of cycles: the
     only per-slot view of the regenerative sampler, for keep_trajectory."""
-    dwell, ramp, blen, run_end, _ = block
-    ends = np.cumsum(dwell + ramp)
-    cyc = np.searchsorted(ends, np.arange(n), "right")
-    lead = ends - ramp - 1  # last AoII-0 slot of each cycle
-    delta = np.maximum(np.arange(n) - lead[cyc], 0)
+    _, ramp, blen, run_end, _ = block
+    cyc, delta = cycles.ages(n)
     at = delta - (ramp - blen + 1)[cyc]  # burst slot within its cycle's burst
     tx = at >= 0
     pos = (np.cumsum(blen) - blen)[cyc[tx]] + at[tx]
@@ -245,16 +225,10 @@ def _expand(block, n, dwell_tx):
     return delta, r, (tx | (delta == 0) if dwell_tx else tx)
 
 
-def _batch_starts(t0: int, n: int, size: int) -> list:
-    """Offsets in slots t0 .. t0 + n - 1 at which a batch of size slots
-    starts, led by 0: the segments that simulate adds by batch index."""
-    return [0, *range(-t0 % size or size, n, size)]
-
-
 def _cycle_slots(rng, waits, dwell_tx, source, channel, penalty, size, horizon, keep):
     """Regenerative sampler: yields the horizon block by block as (n, costs,
     txs, top, decodes, slots), costs and txs being the sums over the segments
-    that start at _batch_starts, top the largest AoII.
+    that start at batch_starts, top the largest AoII.
 
     The sums come from per-cycle totals: a cycle's penalty is
     dwell f(0) + F[ramp] and it transmits blen slots, so the totals up to a
@@ -268,96 +242,28 @@ def _cycle_slots(rng, waits, dwell_tx, source, channel, penalty, size, horizon, 
     """
     p0 = channel.success_probability(0)
     bursts = _Bursts(source, channel)
-    ramp_cost = _RampCost(penalty)
-    f0 = ramp_cost.f0
+    ramp_cost = RampCost(penalty)
     t0 = 0  # slots covered by the drawn cycles
     n_cycles = 16
     while t0 < horizon:
         block = _cycle_block(rng, n_cycles, waits, source, bursts)
         dwell, ramp, blen, run_end, decoded = block
-        ends = np.cumsum(dwell + ramp)
-        starts = ends - dwell - ramp
-        covered = int(ends[-1])
+        covered = int(dwell.sum() + ramp.sum())
         n = min(covered, horizon - t0)
-        # AoII-0 slots, penalty and burst slots of the cycles before each one
-        # (a ramp past the horizon is cut, as only its first slots are read)
-        dwelt, cost, sent = (
-            np.concatenate(([0], np.cumsum(v)))
-            for v in (dwell, ramp_cost[np.minimum(ramp, n)] + f0 * dwell, blen)
-        )
-
-        def upto(x):
-            # the same totals over the block's first x slots, per entry of x
-            i = np.searchsorted(starts, x, "right") - 1
-            k = x - starts[i]
-            zeros = np.minimum(k, dwell[i])
-            into = k - zeros  # ramp slots
-            burst = sent[i] + np.maximum(into - ramp[i] + blen[i], 0)
-            return dwelt[i] + zeros, cost[i] + f0 * zeros + ramp_cost[into], burst
-
-        zeros, costs, txs = upto(np.array([*_batch_starts(t0, n, size), n]))
+        cycles = Segments(dwell, ramp, ramp_cost, n)
+        sent = np.concatenate(([0], np.cumsum(blen)))  # burst slots of the cycles before each one
+        i, into, zeros, costs = cycles.upto(np.array([*batch_starts(t0, n, size), n]))
+        txs = sent[i] + np.maximum(into - ramp[i] + blen[i], 0)
         decodes = int(np.count_nonzero(decoded[: np.searchsorted(run_end, txs[-1], "right")]))
         if dwell_tx:
             txs = txs + zeros
-            for count in np.diff(upto(np.array([*range(0, n, _SLOTS), n]))[0]):
+            for count in np.diff(cycles.upto(np.array([*range(0, n, _SLOTS), n]))[2]):
                 decodes += int(rng.binomial(count, p0))
-        top = int(np.max(np.minimum(ends, n) - starts - dwell, initial=0))
-        slots = _expand(block, n, dwell_tx) if keep else None
-        yield n, np.diff(costs), np.diff(txs), top, decodes, slots
+        slots = _expand(cycles, block, n, dwell_tx) if keep else None
+        yield n, np.diff(costs), np.diff(txs), cycles.top, decodes, slots
         # burst arrays grow with the slots a block covers, so aim at _BLOCK
         n_cycles = max(16, min(2 * n_cycles, n_cycles * _BLOCK // covered))
         t0 += covered
-
-
-def _periodic_slots(rng, period, source, channel, penalty, size, horizon):
-    """Reset-indicator scan for a period >= 2: yields the horizon in chunks
-    of _SLOTS slots (the last one shorter) as _cycle_slots does, the segment
-    sums added up per slot and slots always the chunk's (delta, r, tx).
-
-    One uniform per slot.  At AoII 0 the next AoII is 0 iff u < alpha (and a
-    transmission decodes iff u < alpha*p or alpha <= u < alpha + (1-alpha)*p);
-    at AoII > 0 it is 0 iff u < mu on a wait slot, u < cut 2 of _cuts on a
-    transmit slot.
-    """
-    alpha, mu = source.alpha, source.mu
-    c1, c2, c3, c4 = _cuts(source, channel, np.arange(1))[:, 0]
-    p0 = channel.success_probability(0)
-    zero, last_zero, r_in = True, 0, 0  # state entering the chunk
-    for t0 in range(0, horizon, _SLOTS):
-        n = min(_SLOTS, horizon - t0)
-        t = np.arange(t0, t0 + n)
-        u = rng.random(n)
-        tx = np.zeros(n, dtype=bool)
-        on = slice((-t0) % period, None, period)
-        tx[on] = True
-        from_zero = u < alpha
-        from_stale = u < mu
-        from_stale[on] = u[on] < c2
-        # slot j maps this slot's indicator to the next one's: constant when
-        # both branches agree, otherwise identity (from_zero) or flip
-        const = from_zero == from_stale
-        last = np.maximum.accumulate(np.where(const, np.arange(n), -1))
-        flips = np.cumsum(~const & from_stale)
-        seen = last >= 0
-        anchor = np.maximum(last, 0)
-        base = np.where(seen, from_zero[anchor], zero)
-        nxt = base ^ ((flips - np.where(seen, flips[anchor], 0)) & 1).astype(bool)
-        z = np.concatenate(([zero], nxt[:-1]))
-        delta = t - np.maximum(np.maximum.accumulate(np.where(z, t, -1)), last_zero)
-        ut, zt = u[on], z[on]
-        decodes = np.where(
-            zt,
-            (ut < alpha * p0) | ((ut >= alpha) & (ut < alpha + (1.0 - alpha) * p0)),
-            (ut < c1) | ((ut >= c2) & (ut < c3)),
-        )
-        kept = np.zeros(n, dtype=np.int32)
-        kept[on] = ~zt & (ut >= c3) & (ut < c4)
-        r = np.concatenate(([r_in], kept[:-1])).astype(np.int32)
-        at = _batch_starts(t0, n, size)
-        costs = np.add.reduceat(penalty.evaluate(delta), at)
-        txs = np.add.reduceat(tx, at, dtype=np.int64)
-        yield n, costs, txs, int(delta.max()), int(np.count_nonzero(decodes)), (delta, r, tx)
-        zero, last_zero, r_in = bool(nxt[-1]), int(t[-1] - delta[-1]), int(kept[-1])
 
 
 def _batch_stderr(sums: np.ndarray, size: int) -> float:
@@ -379,7 +285,7 @@ def simulate(
 ):
     """Run one trajectory from (0, 0) and report time averages.
 
-    Periodic policies with period >= 2 use the reset-indicator scan, all
+    Periodic policies with period >= 2 use the reset-mark sampler, all
     others the regenerative cycle sampler.  The per-slot cost is the
     pre-transition penalty f(delta_t), slot 0 included; standard errors use
     batch means over 100 contiguous batches.
@@ -392,7 +298,7 @@ def simulate(
     n_batches = min(100, horizon)
     size = horizon // n_batches
     if isinstance(policy, Periodic) and policy.period > 1:
-        chunks = _periodic_slots(rng, policy.period, source, channel, penalty, size, horizon)
+        chunks = periodic_blocks(rng, policy.period, source, channel, penalty, size, horizon, keep_trajectory)
     else:
         # period 1: threshold-1 cycles whose AoII-0 slots transmit too
         period_one = isinstance(policy, Periodic)

@@ -4,8 +4,9 @@ Everything here is implemented directly from the one-step dynamics with
 deliberately different machinery than the package: python-stdlib Monte Carlo
 with a two-uniform factorization, a per-slot numpy-stream loop, dense
 truncated matrix powers, power iteration on an explicitly materialized
-kernel, and exact rational elimination on the folded burst chain.  Nothing imports from
-aoii_harq except the tests that compare against these results.
+kernel, exact rational elimination on the folded burst chain, and the
+periodic baseline's per-slot affine map of (P(AoII = 0), E[AoII]).  Nothing
+imports from aoii_harq except the tests that compare against these results.
 """
 
 from __future__ import annotations
@@ -335,3 +336,47 @@ def fraction_mixed_solution(alpha, mu, p, k, budget, n_low):
     length = rho * high[0] + (1 - rho) * low[0]
     cost = rho * high[2] + (1 - rho) * low[2]
     return rho, cost / length
+
+
+def _periodic_resets(alpha, mu, p0, period):
+    """Per phase of a period >= 2 policy, the probability that a stale AoII
+    resets: alpha p(0) + mu (1 - p(0)) on the transmit slot (every
+    transmission goes out with r = 0), mu on the period - 1 wait slots."""
+    return [alpha * p0 + mu * (1.0 - p0)] + [mu] * (period - 1)
+
+
+def _periodic_step(alpha, s):
+    """The slot's affine map on (z, e, 1), z = P(AoII = 0) and e = E[AoII]:
+    z' = alpha z + s (1 - z), e' = (1 - s)(e + 1 - z) + (1 - alpha) z."""
+    return np.array([[alpha - s, 0.0, s], [s - alpha, 1.0 - s, 1.0 - s], [0.0, 0.0, 1.0]])
+
+
+def periodic_law(alpha, mu, p0, period):
+    """Exact stationary (P(AoII = 0), average AoII) of the policy that
+    transmits every period >= 2 slots, averaged over the period's phases:
+    the fixed point of the composed period map at phase 0, carried through
+    the phases."""
+    steps = [_periodic_step(alpha, s) for s in _periodic_resets(alpha, mu, p0, period)]
+    composed = np.eye(3)
+    for step in steps:
+        composed = step @ composed
+    v = np.append(np.linalg.solve(np.eye(2) - composed[:2, :2], composed[:2, 2]), 1.0)
+    total = np.zeros(3)
+    for step in steps:
+        total += v
+        v = step @ v
+    return float(total[0] / period), float(total[1] / period)
+
+
+def periodic_finite_law(alpha, mu, p0, period, horizon):
+    """Exact (P(AoII = 0), AoII) averaged over slots 0 .. horizon - 1 of the
+    same policy from AoII 0 at slot 0, one scalar step per slot."""
+    resets = _periodic_resets(alpha, mu, p0, period)
+    z, e = 1.0, 0.0
+    z_sum = e_sum = 0.0
+    for t in range(horizon):
+        z_sum += z
+        e_sum += e
+        s = resets[t % period]
+        z, e = alpha * z + s * (1.0 - z), (1.0 - s) * (e + 1.0 - z) + (1.0 - alpha) * z
+    return z_sum / horizon, e_sum / horizon

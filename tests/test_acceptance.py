@@ -451,3 +451,19 @@ def test_criterion_7_figure_dominance(figure_curves):
         f"dominance/monotonicity violations: {len(dominance_bad)}/{len(monotone_bad)}",
     )
     assert ok, (dominance_bad, monotone_bad)
+
+
+def test_periodic_baseline_dominated_exactly():
+    # criterion 7 without sampling noise: the periodic baseline at
+    # P = ceil(1/R) meets the budget (its rate 1/P is at most R), so the
+    # optimal average AoII is at most its exact value (oracles.periodic_law).
+    # The smallest margin over this grid is 1.48 (fig8, R = 0.51)
+    for name, (alpha, n_states, p_e, c, r_max) in FIGURE_CONFIGS.items():
+        source = SourceModel.from_states(alpha, n_states)
+        channel = _channel(p_e, c, r_max)
+        for budget in np.linspace(0.02, 0.98, 50).tolist():
+            sol = solve_cmdp(budget, source, channel, PEN)
+            _, periodic = oracles.periodic_law(
+                source.alpha, source.mu, channel.success_probability(0), math.ceil(1.0 / budget)
+            )
+            assert sol.predicted_aoii <= periodic, (name, budget, sol.predicted_aoii, periodic)

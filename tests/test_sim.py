@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from aoii_harq import (
@@ -25,6 +26,7 @@ from aoii_harq import (
     split_seed,
     transition_dist,
 )
+from aoii_harq.marks import ResetMarks, periodic_blocks
 from aoii_harq.sim import _Bursts
 
 
@@ -136,22 +138,22 @@ class TestSimulate:
         report = oracles.slot_simulate(policy, paper_source, paper_channel, penalty, 20_000, seed=17)
         assert SimReport(**report) == SimReport(20_000, 17, *self.PINNED[kind, policy])
 
-    # the same cases for the package's samplers (regenerative cycles, and the
-    # reset-indicator scan for Periodic): a change in what they draw, in
-    # which order, changes these, and so does (in the last digits of the
-    # power rows) a change in how the batch sums are added up: per cycle for
-    # the threshold policies, per slot for Periodic
+    # the same cases for the package's samplers (regenerative cycles, and
+    # reset marks for Periodic): a change in what they draw, in which order,
+    # changes these, and so does (in the last digits of the power rows) a
+    # change in how the batch sums are added up: per cycle for the threshold
+    # policies, per segment between two marks for Periodic
     PINNED_NUMPY = {
         ("linear", NeverTransmit()): (25.6926, 0.0, 1.2929873121159887, 0.0, 181, 0),
         ("linear", FixedThreshold(2)): (2.35875, 0.5197, 0.039346452293450906, 0.003951613913991665, 27, 5861),
         ("linear", MixedThreshold(2, 0.4)): (2.5335, 0.4849, 0.040863872315360185, 0.003949798613968705, 25, 5435),
-        ("linear", Periodic(0.3)): (8.175, 0.25, 0.2964491456550279, 0.0, 67, 2548),
+        ("linear", Periodic(0.3)): (7.9931, 0.25, 0.2603370560010094, 0.0, 60, 2581),
         ("power", NeverTransmit()): (177.76152411377393, 0.0, 14.868399779223386, 0.0, 181, 0),
         ("power", FixedThreshold(2)): (5.270139666323921, 0.5197, 0.14088212339888256, 0.003951613913991665, 27, 5861),
         ("power", MixedThreshold(2, 0.4)): (
             5.767844814918126, 0.4849, 0.14722365967829504, 0.003949798613968705, 25, 5435
         ),
-        ("power", Periodic(0.3)): (32.920935229995116, 0.25, 1.8920630675599086, 0.0, 67, 2548),
+        ("power", Periodic(0.3)): (31.793618838867605, 0.25, 1.5989764329741931, 0.0, 60, 2581),
     }
 
     @pytest.mark.parametrize(
@@ -176,9 +178,9 @@ class TestSimulate:
         ("paper", MixedThreshold(2, 0.4), 150): "39246ea34e66df10c2c665dd65294b8409e446ac4a714c69aac00e60919cda4e",
         ("paper", MixedThreshold(2, 0.4), 20_000): "a1c28bb213cb65eab5ec767390bffac4bf553b191343ab34ba13f406ea5c5cf1",
         ("paper", MixedThreshold(2, 0.4), 100_003): "a85d268fc1d89c13c087215240ea67a8d1d8f7c7aed380b21dd49ea24aa933f3",
-        ("paper", Periodic(0.3), 150): "be6e936a4e10a3c6ee8ea975c6e85d9d3c5c03e3e3cd6c575452f7b8c88fc5b9",
-        ("paper", Periodic(0.3), 20_000): "b138675727adddf6d926219af9928e75252221922005b4ed29ccb81f0c8862e3",
-        ("paper", Periodic(0.3), 100_003): "2ef214890988546f6000ff3a2e7761933174411c21d01424746a63cd1a978881",
+        ("paper", Periodic(0.3), 150): "d48b7568a84222540c597c9adb989e65fea7079a66bb3a58244e511c5c3693cc",
+        ("paper", Periodic(0.3), 20_000): "6905e111a12c3075457d07c5cea0165b2208fd88ae0f932c8208115e488c7eb8",
+        ("paper", Periodic(0.3), 100_003): "08bae13e96acfd8fb8f859c5b362f95e9ea3f6ae8b92ab5fa947724e705331df",
         ("waiting", NeverTransmit(), 150): "80018158cb2f989999bf2978edf92c6bc7bca0531450f4ef77e57c315e93c0c3",
         ("waiting", NeverTransmit(), 20_000): "cfe492608804163fe93cf9ee172abb729ee5987f58d72cfaff90b1484f37bd26",
         ("waiting", NeverTransmit(), 100_003): "4ff59f3d61aed72643c8898896694fb1c41fb517ffa37306c4b6f2f708d27936",
@@ -188,13 +190,16 @@ class TestSimulate:
         ("waiting", MixedThreshold(2, 0.4), 150): "5bdb079cd572950eff6f9ae088af6ddf34cb26acd633fa5c730e1b28f1d6d7b0",
         ("waiting", MixedThreshold(2, 0.4), 20_000): "a9746d015b2b2c849d87346df189fe38bc73d8ade6dc07b8f6a67cddc6f24838",
         ("waiting", MixedThreshold(2, 0.4), 100_003): "74b506a7a09e69d0c3ad03e577202c971f6d98bcd6e2fb96e501e3a7836ebd68",
-        ("waiting", Periodic(0.3), 150): "2b194ea0d047eb2ec1d6ea946bf70d2fa78e7b73a27d35c1ddd9f8fc651ccd1b",
-        ("waiting", Periodic(0.3), 20_000): "3d4b1521f79c5cf6b4a9d99145574b9f55ebe432a046f055aa339085b073f04b",
-        ("waiting", Periodic(0.3), 100_003): "bed29be1392bf38313706db210cb5fd28f99ede72d0b08ed200ddf0cfabafce9",
+        ("waiting", Periodic(0.3), 150): "3c63f1ae5a4840961a81a39395b1d44c5d50d112bb4fd400572804e86a02a60b",
+        ("waiting", Periodic(0.3), 20_000): "cb93f9ec6fbd7cf12708fcc3f677054f85b29001ffef99fd623798d824d5de91",
+        ("waiting", Periodic(0.3), 100_003): "ba07a56f0ce693bb439a83d5bf9a0df75012330c4f0ed6504ea286bcd2d79f5c",
     }
     SETTINGS = {
         "paper": (SourceModel.from_states(0.5, 16), ChannelModel(p_e=0.5, c=0.5, r_max=2)),
         "waiting": (SourceModel.from_states(0.01, 32), ChannelModel(p_e=0.5, c=0.5, r_max=None)),
+        # a stale AoII resets in well under one slot in 10^3, so windows of
+        # periodic reset marks often hold none
+        "sparse": (SourceModel(0.5, 1e-5), ChannelModel(p_e=0.999, c=0.5, combining="none")),
     }
 
     @pytest.mark.parametrize(
@@ -268,6 +273,28 @@ class TestSimulate:
             for penalty in (PenaltySpec.power(1.5), PenaltySpec.linear(), PenaltySpec.from_table([0, 1, 3, 4, 6])):
                 self._check_trajectory_report(policy, source, channel, penalty, horizon)
 
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("policy", [Periodic(0.3), Periodic(0.05)])
+    def test_trajectory_matches_report_at_window_edges(self, policy, offset):
+        # the reset-mark sampler draws its marks window by window, and the
+        # horizon cuts the segment after the last mark before it
+        for source, channel in self.SETTINGS.values():
+            width = ResetMarks(policy.period, source, channel, PenaltySpec.linear()).width
+            for penalty in (PenaltySpec.power(1.5), PenaltySpec.linear()):
+                self._check_trajectory_report(policy, source, channel, penalty, width + offset)
+
+    def test_windows_without_marks(self, linear_penalty):
+        # at period 20 a window of the sparse setting holds about one mark
+        source, channel = self.SETTINGS["sparse"]
+        policy = Periodic(0.05)
+        width = ResetMarks(policy.period, source, channel, linear_penalty).width
+        horizon = 10 * width
+        blocks = periodic_blocks(
+            np.random.default_rng(3), policy.period, source, channel, linear_penalty, horizon // 100, horizon, False
+        )
+        assert sum(1 for _ in blocks) < 10
+        self._check_trajectory_report(policy, source, channel, linear_penalty, horizon)
+
     @staticmethod
     def _check_trajectory_report(policy, source, channel, penalty, horizon):
         report, (deltas, rs, actions) = simulate(policy, source, channel, penalty, horizon, seed=3, keep_trajectory=True)
@@ -299,7 +326,10 @@ class TestSimulate:
         assert report.decode_successes <= actions.sum()
         if isinstance(policy, Periodic):
             assert np.array_equal(np.flatnonzero(actions), np.arange(0, horizon, policy.period))
-            assert policy.period == 1 or rs.max() <= 1
+            if policy.period > 1:
+                # r = 1 only on the slot after a failed transmission that
+                # kept the count
+                assert rs.max() <= 1 and actions[np.flatnonzero(rs) - 1].all()
         elif isinstance(policy, FixedThreshold):
             assert np.array_equal(actions == 1, deltas >= 3)
         elif isinstance(policy, MixedThreshold):
@@ -356,8 +386,8 @@ class TestSimulate:
     def test_working_set_does_not_grow_with_the_horizon(self, paper_source, paper_channel, linear_penalty):
         # one 1M-slot run per policy; the per-slot loop peaked at 25-33 MB here
         # (three float arrays of the horizon and a schedule list).  The cycle
-        # sampler holds one block of cycles at a time, the periodic scan one
-        # chunk of at most 4096 slots
+        # sampler holds one block of cycles at a time, the reset-mark sampler
+        # the marks of one window, about 2048 of them or fewer
         for policy in (NeverTransmit(), FixedThreshold(2), MixedThreshold(2, 0.4), Periodic(0.3), Periodic(1.0)):
             tracemalloc.start()
             try:
@@ -372,10 +402,12 @@ class TestSimulate:
         # a dwell at AoII 0 lasts 10^4 slots on average, so a block of 16 or
         # more cycles spans over 10^5 slots: expanded per slot, as
         # keep_trajectory does, that took 6.5-10 MB here, its per-cycle sums
-        # about 20 kB
+        # about 20 kB.  Periodic(0.3) meets a mark on every other transmit
+        # slot, so its windows are cut to about 2048 marks (160 kB here; a
+        # window of 2^15 slots peaked at 310 kB)
         source = SourceModel.from_states(0.9999, 2)
         simulate(FixedThreshold(2), source, paper_channel, linear_penalty, 1000, seed=5)  # first-call set-up
-        for policy in (FixedThreshold(2), MixedThreshold(2, 0.4), Periodic(1.0)):
+        for policy in (FixedThreshold(2), MixedThreshold(2, 0.4), Periodic(1.0), Periodic(0.3)):
             tracemalloc.start()
             try:
                 simulate(policy, source, paper_channel, linear_penalty, 1_000_000, seed=5)
@@ -399,6 +431,71 @@ class TestSimulate:
         survival = _Bursts(source, channel)._survival[::-1]
         q = channel.error_probability(np.arange(survival.size))
         assert np.array_equal(survival, np.cumprod(source.alpha * q))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    alpha=st.floats(0.01, 0.99),
+    n_states=st.integers(2, 64),
+    p_e=st.floats(0.01, 0.99),
+    c=st.floats(0.01, 1.0),
+    r_max=st.none() | st.integers(0, 4),
+    period=st.integers(2, 40),
+    horizon=st.integers(1, 20_000),
+)
+def test_periodic_trajectory_obeys_the_kernel(alpha, n_states, p_e, c, r_max, period, horizon):
+    # the kernel's support (the AoII steps up by one or resets, transmissions
+    # exactly at the multiples of the period, r <= 1 and r = 1 only after a
+    # transmission) and the report as the sums of the returned arrays
+    source = SourceModel.from_states(alpha, n_states)
+    channel = ChannelModel(p_e=p_e, c=c, r_max=r_max)
+    TestSimulate._check_trajectory_report(Periodic(1.0 / period), source, channel, PenaltySpec.linear(), horizon)
+
+
+class TestPeriodicOracle:
+    """The exact law of a policy with period >= 2 (oracles.periodic_law and
+    periodic_finite_law) against the per-slot loop, and the reset-mark
+    sampler against it."""
+
+    CHANNEL = ChannelModel(p_e=0.5, c=0.5, r_max=2)
+    SOURCES = {
+        "paper": SourceModel.from_states(0.5, 16),
+        # mu > alpha: a mark often falls right where the AoII-0 run ends,
+        # which flips the indicator
+        "mu-above-alpha": SourceModel.from_states(0.2, 2),
+        "slow": SourceModel.from_states(0.01, 32),
+    }
+
+    def _finite_law(self, source, period, horizon):
+        p0 = self.CHANNEL.success_probability(0)
+        return oracles.periodic_finite_law(source.alpha, source.mu, p0, period, horizon)
+
+    @pytest.mark.parametrize("period", [2, 4])
+    @pytest.mark.parametrize("name", ["paper", "mu-above-alpha"])
+    def test_oracle_matches_slot_loop(self, name, period):
+        source, horizon = self.SOURCES[name], 200_000
+        report, (deltas, _, _) = oracles.slot_simulate(
+            Periodic(1.0 / period), source, self.CHANNEL, PenaltySpec.linear(), horizon, seed=60 + period,
+            keep_trajectory=True,
+        )
+        zero, aoii = self._finite_law(source, period, horizon)
+        assert abs(report["avg_aoii"] - aoii) <= 4 * report["aoii_stderr"], (report, aoii)
+        means = (deltas == 0).reshape(100, -1).mean(axis=1)
+        assert abs(means.mean() - zero) <= 4 * means.std(ddof=1) / 10, (means.mean(), zero)
+
+    @pytest.mark.parametrize("period", [2, 4, 20])
+    @pytest.mark.parametrize("name", list(SOURCES))
+    def test_sampler_matches_oracle(self, name, period):
+        source, horizon, reps = self.SOURCES[name], 100_000, 32
+        report = replicate(Periodic(1.0 / period), source, self.CHANNEL, PenaltySpec.linear(), horizon, 90 + period, reps)
+        _, aoii = self._finite_law(source, period, horizon)
+        assert abs(report.avg_aoii - aoii) <= 4 * report.aoii_stderr, (report, aoii)
+        # every transmission goes out with r = 0, so it decodes with p(0)
+        sends, p0 = reps * math.ceil(horizon / period), self.CHANNEL.success_probability(0)
+        assert abs(report.decode_successes - sends * p0) <= 4 * math.sqrt(sends * p0 * (1 - p0)), report
+        # and the stationary law is the finite-horizon one's limit
+        _, stationary = oracles.periodic_law(source.alpha, source.mu, p0, period)
+        assert abs(aoii - stationary) <= 1e-3 * stationary
 
 
 class TestAgreesWithSlotLoop:
