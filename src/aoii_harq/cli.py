@@ -79,10 +79,7 @@ def _solution_fields(sol: optimizer.CmdpSolution) -> list[tuple[str, object]]:
 
 
 def _solve(cfg: RunConfig, budget: float) -> optimizer.CmdpSolution:
-    return optimizer.solve_cmdp(
-        budget, cfg.source, cfg.channel, cfg.penalty,
-        cfg.solver.series_config(), cfg.solver.lambda_tol, cfg.solver.tail_tol,
-    )
+    return optimizer.solve_cmdp(budget, cfg.source, cfg.channel, cfg.penalty, cfg.solver.series_config())
 
 
 def cmd_solve(cfg: RunConfig, out: str | None) -> int:
@@ -255,7 +252,7 @@ def _checks_for_config(cfg: RunConfig) -> list[dict]:
         add("gwait-cross-oracle", rel <= 1e-4, rel, 1e-4)
 
     for n0 in vset.thresholds:
-        analysis = rate.achieved_rate(n0, source, channel, cfg.solver.tail_tol)
+        analysis = rate.achieved_rate(n0, source, channel, series_cfg)
         deltas, _, probs = analysis.stationary_arrays
         gap = abs(analysis.rate - float(probs[deltas >= n0].sum()))
         add(f"rate-vs-stationary-mass[n0={n0}]", gap <= 1e-9, gap, 1e-9)

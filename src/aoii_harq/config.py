@@ -10,7 +10,7 @@ field takes the type of its default, and the dataclass checks its range.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 from .errors import ConfigError
 from .lagrangian import SeriesConfig
@@ -20,21 +20,24 @@ from .rvi import RviConfig
 
 @dataclass(frozen=True)
 class SolverSettings:
-    epsilon: float = 1e-12
-    weighted_epsilon: float = 1e-10
-    l_cap: int = 1_000_000
+    """tail_tol is the one cut on the sigma series (its first term below it),
+    and with weighted_epsilon and l_cap it forms the solve's SeriesConfig;
+    lambda_tol is checked but unused."""
+
+    weighted_epsilon: float = SeriesConfig.weighted_epsilon
+    l_cap: int = SeriesConfig.l_cap
     lambda_tol: float = 1e-6
-    tail_tol: float = 1e-12
+    tail_tol: float = SeriesConfig.epsilon
 
     def __post_init__(self) -> None:
-        self.series_config()  # checks epsilon, weighted_epsilon and l_cap
-        if not self.lambda_tol > 0.0:
-            raise ValueError(f"lambda_tol must be positive, got {self.lambda_tol}")
         if not 0.0 < self.tail_tol < 1.0:  # a cut on sigma terms, which start at 1
             raise ValueError(f"tail_tol must lie in (0, 1), got {self.tail_tol}")
+        self.series_config()  # checks weighted_epsilon and l_cap
+        if not self.lambda_tol > 0.0:
+            raise ValueError(f"lambda_tol must be positive, got {self.lambda_tol}")
 
     def series_config(self) -> SeriesConfig:
-        return SeriesConfig(self.epsilon, self.weighted_epsilon, self.l_cap)
+        return SeriesConfig(self.tail_tol, self.weighted_epsilon, self.l_cap)
 
 
 @dataclass(frozen=True)
@@ -51,18 +54,15 @@ class SimSettings:
 
 
 @dataclass(frozen=True)
-class ValidateSettings:
-    """Controls for the cross-oracle validation suite."""
+class ValidateSettings(RviConfig):
+    """Controls for the cross-oracle validation suite: the RVI grid and
+    tolerances, and the prices and thresholds it checks."""
 
     lambdas: tuple[float, ...] = (0.0, 1.0, 5.0)
     thresholds: tuple[int, ...] = (1, 2, 5)
-    delta_max: int = 400
-    r_cap: int = 64
-    span_tol: float = 1e-10
-    max_iters: int = 100_000
 
     def __post_init__(self) -> None:
-        RviConfig(self.delta_max, self.r_cap, self.max_iters, self.span_tol)  # checks their ranges
+        super().__post_init__()
         if min(self.lambdas) < 0.0 or min(self.thresholds) < 1:
             raise ValueError(
                 f"lambdas must be >= 0 and thresholds >= 1, "
@@ -70,10 +70,9 @@ class ValidateSettings:
             )
 
     def rvi_config(self, channel) -> RviConfig:
-        r_cap = self.r_cap
-        if channel.round_length is not None:
-            r_cap = max(r_cap, channel.round_length + 1)
-        return RviConfig(self.delta_max, r_cap, self.max_iters, self.span_tol)
+        if channel.round_length is not None and channel.round_length >= self.r_cap:
+            return replace(self, r_cap=channel.round_length + 1)
+        return self
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,8 @@ TRANSMIT = "transmit"
 
 _EQ_TOL = 1e-12
 _SERIES_BLOCK = 8192
+BOUNDEDNESS_TOL = 1e-10  # a certified series' settling term lies below this
+BOUNDEDNESS_L_CAP = 1_000_000  # a series not settled by this term is refused
 
 
 @dataclass(frozen=True)
@@ -292,20 +294,21 @@ def settled_sum(penalty, q: float, start: int, tol: float, l_cap: int) -> float:
     )
 
 
-def validate_boundedness(source, channel, penalty, tol: float = 1e-10, l_cap: int = 1_000_000) -> bool:
+def validate_boundedness(source, channel, penalty) -> bool:
     """Numerically certify sum_{l>=1} f(l+1) * (gamma1(0)+gamma2(0))**l < inf.
 
     Certification is by ratio test plus stabilization: the partial sums are
-    accepted once a term falls below ``tol`` while the terms are decreasing.
-    Returns False (never raises) when the terms fail to stabilize within
-    ``l_cap``, which callers must treat as "refuse to solve".
+    accepted once a term falls below BOUNDEDNESS_TOL while the terms are
+    decreasing.  Returns False (never raises) when the terms fail to
+    stabilize within BOUNDEDNESS_L_CAP, which callers must treat as "refuse
+    to solve".  The solver's series controls play no part.
     """
     pair = gamma(source, channel, 0)
     q = pair.gamma1 + pair.gamma2
     if q >= 1.0:
         return False
     try:
-        settled_sum(penalty, q, 1, tol, l_cap)
+        settled_sum(penalty, q, 1, BOUNDEDNESS_TOL, BOUNDEDNESS_L_CAP)
     except DivergenceError:
         return False
     return True

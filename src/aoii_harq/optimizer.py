@@ -97,10 +97,12 @@ def solve_cmdp(
     """Minimize the average AoII penalty subject to a long-run transmission
     rate of at most R.
 
-    Any budget R > 0 is feasible since waiting never transmits.  No
-    multiplier is searched for, so lambda_tol is checked but unused.  Under
-    the linear penalty every value is exact; otherwise cfg cuts the weighted
-    series of the search, and tail_tol that of the mixed regime's AoII.
+    Any budget R > 0 is feasible since waiting never transmits.  Under the
+    linear penalty every value is exact; otherwise cfg cuts every weighted
+    series of the solve, the search's and the mixed regime's AoII alike.
+    lambda_tol and tail_tol are range-checked but unused, kept for callers
+    that pass them positionally: no multiplier is searched for, and
+    cfg.epsilon is the one sigma cutoff.
 
     The solution is certified: in the mixed regime the price-optimal
     threshold just below and just above lambda* must be n_low and n_high,
@@ -153,7 +155,7 @@ def solve_cmdp(
     trace = [(0.0, n_zero, rate(n_zero))]
     if rate(n_zero) <= R:
         length, _, cost = cycle(n_zero)
-        rate_zero = achieved_rate(n_zero, source, channel, tail_tol).rate
+        rate_zero = achieved_rate(n_zero, source, channel, cfg).rate
         return CmdpSolution(
             regime=REGIME_PURE_THRESHOLD,
             lambda_star=0.0,
@@ -189,9 +191,7 @@ def solve_cmdp(
     excess_low = cycle(n_low)[1] - R * cycle(n_low)[0]
     excess_high = cycle(n_high)[1] - R * cycle(n_high)[0]
     rho_high = excess_low / (excess_low - excess_high)
-    predicted_rate, predicted_aoii = mixed_chain_analysis(
-        n_low, rho_high, source, channel, penalty, tail_tol
-    )
+    predicted_rate, predicted_aoii = mixed_chain_analysis(n_low, rho_high, source, channel, penalty, cfg)
     if not abs(predicted_rate - R) <= _BUDGET_TOL:
         raise SolverError(f"certificate failed: the mixed policy's rate {predicted_rate!r} misses R={R!r}")
     return CmdpSolution(
@@ -200,8 +200,8 @@ def solve_cmdp(
         n_high=n_high,
         n_low=n_low,
         rho_high=rho_high,
-        rate_high=achieved_rate(n_high, source, channel, tail_tol).rate,
-        rate_low=achieved_rate(n_low, source, channel, tail_tol).rate,
+        rate_high=achieved_rate(n_high, source, channel, cfg).rate,
+        rate_low=achieved_rate(n_low, source, channel, cfg).rate,
         predicted_rate=predicted_rate,
         predicted_aoii=predicted_aoii,
         diagnostics=diagnostics(),

@@ -102,12 +102,11 @@ class RateAnalysis:
         return dict(zip(zip(deltas.tolist(), rs.tolist()), probs.tolist()))
 
 
-def achieved_rate(n0: int, source, channel, tail_tol: float = 1e-12) -> RateAnalysis:
+def achieved_rate(n0: int, source, channel, cfg: SeriesConfig = SeriesConfig()) -> RateAnalysis:
     """Exact transmission rate T/L of the threshold-n0 policy; its stationary
-    law stops at the first sigma term below tail_tol."""
-    cut = SeriesConfig(epsilon=tail_tol)
+    law stops at the first sigma term below cfg.epsilon."""
     length, transmissions, _ = cycle_sums(n0, source, channel, PenaltySpec.linear())
-    return RateAnalysis(n0, length, transmissions, cut, source, channel)
+    return RateAnalysis(n0, length, transmissions, cfg, source, channel)
 
 
 def mixed_chain_analysis(
@@ -116,7 +115,7 @@ def mixed_chain_analysis(
     source,
     channel,
     penalty,
-    tail_tol: float = 1e-12,
+    cfg: SeriesConfig = SeriesConfig(),
 ) -> tuple[float, float]:
     """Exact long-run (transmission rate, average penalty) of the per-slot
     randomized two-threshold policy.
@@ -126,15 +125,14 @@ def mixed_chain_analysis(
     value.  The thresholds are adjacent, so the draw matters only at
     AoII = n_low, which a renewal cycle visits at most once: each cycle is a
     threshold-n_high cycle with probability rho_high and a threshold-n_low
-    cycle otherwise, and the cycle sums (L, T, C) mix linearly.  tail_tol
-    cuts the weighted series of penalties other than linear.
+    cycle otherwise, and the cycle sums (L, T, C) mix linearly.  cfg cuts the
+    weighted series of penalties other than linear.
     """
     if n_low < 1:
         raise ValueError(f"n_low must be >= 1, got {n_low}")
     if not 0.0 <= rho_high <= 1.0:
         raise ValueError(f"rho_high must lie in [0, 1], got {rho_high}")
-    cut = SeriesConfig(epsilon=tail_tol)
-    low = cycle_sums(n_low, source, channel, penalty, cut)
-    high = cycle_sums(n_low + 1, source, channel, penalty, cut)
+    low = cycle_sums(n_low, source, channel, penalty, cfg)
+    high = cycle_sums(n_low + 1, source, channel, penalty, cfg)
     length, transmissions, cost = (rho_high * h + (1.0 - rho_high) * l for h, l in zip(high, low))
     return transmissions / length, cost / length

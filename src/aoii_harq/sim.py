@@ -126,27 +126,15 @@ def split_seed(base_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _cuts(source, channel, rs) -> np.ndarray:
-    """Cumulative outcome cuts of a transmit slot at AoII > 0, one column per
-    count in rs: [alpha*p | mu*(1-p) | (1-alpha)*p | alpha*(1-p) | rest], i.e.
-    decoded and reset, failed and reset, decoded and stale, failed with the
-    count kept (r + 1), failed with the count restarted."""
-    alpha, mu = source.alpha, source.mu
-    q = channel.error_probability(rs)
-    p = 1.0 - q
-    c1 = alpha * p
-    c2 = c1 + mu * q
-    c3 = c2 + (1.0 - alpha) * p
-    return np.array([c1, c2, c3, c3 + alpha * q])
-
-
 class _Bursts:
     """HARQ bursts from an AoII above 0 with count 0, drawn as runs.
 
     A run starts at count 0 and keeps the count (r -> r + 1: failed with the
     source unchanged, probability gamma1(r)) for K - 1 slots, so
     P(K > k) = prod_{j<k} gamma1(j); its K-th slot takes one of the other
-    four outcomes of _cuts at r = K - 1.  A burst is the runs up to and
+    four outcomes at r = K - 1, cut cumulatively as [alpha*p | mu*q |
+    (1-alpha)*p | rest]: decoded and reset, failed and reset, decoded and
+    stale, failed with the count restarted.  A burst is the runs up to and
     including the first one that ends in a reset.  Per-count arrays grow on
     demand, so every count a run can reach is covered.  Only per-burst and
     per-run data are kept; _expand rebuilds the per-slot counts.
@@ -157,11 +145,15 @@ class _Bursts:
         self._grow(64)
 
     def _grow(self, n: int) -> None:
-        rs = np.arange(n)
-        cuts = _cuts(self._source, self._channel, rs)
-        keep = self._source.alpha * self._channel.error_probability(rs)  # gamma1(r), from the exact q
+        alpha, mu = self._source.alpha, self._source.mu
+        q = self._channel.error_probability(np.arange(n))
+        p = 1.0 - q
+        keep = alpha * q  # gamma1(r), from the exact q
+        c1 = alpha * p
+        c2 = c1 + mu * q
+        c3 = c2 + (1.0 - alpha) * p
         # indexed by K = r + 1, so row by row each a 1-d gather
-        self._cuts = np.pad(cuts[:3], ((0, 0), (1, 0)))
+        self._cuts = np.pad(np.array([c1, c2, c3]), ((0, 0), (1, 0)))
         self._ending = np.pad(1.0 - keep, (1, 0))  # mass of the four run-ending outcomes
         self._survival = np.cumprod(keep)[::-1]  # P(K > k) for k = n, ..., 1
 

@@ -200,7 +200,7 @@ class TestValidateCommand:
         assert len(rate_checks) == 2
         for check in rate_checks:
             n0 = int(check["name"].split("n0=")[1].rstrip("]"))
-            analytic = achieved_rate(n0, run.source, run.channel, run.solver.tail_tol).rate
+            analytic = achieved_rate(n0, run.source, run.channel, run.solver.series_config()).rate
             iid_se = math.sqrt(analytic * (1.0 - analytic) / run.sim.horizon)
             report = simulate(
                 FixedThreshold(n0), run.source, run.channel, run.penalty, run.sim.horizon, run.sim.seed
@@ -255,10 +255,10 @@ class TestWaitAoiiCommand:
 
 BAD_INPUTS = [
     # config sections, extra flags, field in "config error at <field>", word in the message
-    pytest.param({"solver": {"epsilon": -1}}, [], "solver", "epsilon", id="solver.epsilon=-1"),
+    pytest.param({"solver": {"epsilon": -1}}, [], "solver.epsilon", "unknown key", id="solver.epsilon=-1"),
     pytest.param({"solver": {"l_cap": 0}}, [], "solver", "l_cap", id="solver.l_cap=0"),
     pytest.param({"solver": {"tail_tol": 0}}, [], "solver", "tail_tol", id="solver.tail_tol=0"),
-    pytest.param({"solver": {"epsilon": 2}}, [], "solver", "epsilon", id="solver.epsilon=2"),
+    pytest.param({"solver": {"epsilon": 2}}, [], "solver.epsilon", "unknown key", id="solver.epsilon=2"),
     pytest.param({"solver": {"tail_tol": 1}}, [], "solver", "tail_tol", id="solver.tail_tol=1"),
     pytest.param({"sim": {"seed": -1}}, [], "sim", "seed", id="sim.seed=-1"),
     pytest.param({"validate": {"thresholds": [0]}}, [], "validate", "thresholds", id="thresholds=[0]"),
@@ -295,8 +295,7 @@ class TestResolvedConfig:
             "channel": {"p_e": 0.5, "c": 0.5, "r_max": 2, "combining": "soft"},
             "penalty": {"kind": "linear"},
             "budget": {"R_grid": [0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5, 0.65, 0.8, 0.95]},
-            "solver": {"epsilon": 1e-12, "weighted_epsilon": 1e-10, "l_cap": 1_000_000,
-                       "lambda_tol": 1e-6, "tail_tol": 1e-12},
+            "solver": {"weighted_epsilon": 1e-10, "l_cap": 1_000_000, "lambda_tol": 1e-6, "tail_tol": 1e-12},
             "sim": {"horizon": 100_000, "seed": 2024, "n_reps": 4},
         }
 
@@ -306,8 +305,7 @@ class TestResolvedConfig:
             "channel": {"p_e": 0.5, "c": 0.5},
             "penalty": {"kind": "power", "exponent": 2},
             "budget": {"R": 0.3},
-            "solver": {"epsilon": 1e-9, "weighted_epsilon": 1e-8, "l_cap": 5000,
-                       "lambda_tol": 1e-3, "tail_tol": 1e-10},
+            "solver": {"weighted_epsilon": 1e-8, "l_cap": 5000, "lambda_tol": 1e-3, "tail_tol": 1e-10},
             "sim": {"horizon": 500, "seed": 3, "n_reps": 2},
             "validate": {"thresholds": [4]},
         }
@@ -316,8 +314,7 @@ class TestResolvedConfig:
             "channel": {"p_e": 0.5, "c": 0.5, "r_max": None, "combining": "soft"},
             "penalty": {"kind": "power", "exponent": 2},
             "budget": {"R": 0.3},
-            "solver": {"epsilon": 1e-9, "weighted_epsilon": 1e-8, "l_cap": 5000,
-                       "lambda_tol": 1e-3, "tail_tol": 1e-10},
+            "solver": {"weighted_epsilon": 1e-8, "l_cap": 5000, "lambda_tol": 1e-3, "tail_tol": 1e-10},
             "sim": {"horizon": 500, "seed": 3, "n_reps": 2},
             "validate": {"thresholds": [4]},
         }

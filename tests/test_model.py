@@ -282,7 +282,7 @@ class TestBoundedness:
         # sums cannot stabilize within the cap
         source = SourceModel(alpha=0.5, mu=1e-9)
         channel = ChannelModel(p_e=1.0 - 1e-12, c=1.0)
-        assert validate_boundedness(source, channel, linear_penalty, l_cap=200_000) is False
+        assert validate_boundedness(source, channel, linear_penalty) is False
 
     def test_quadratic_penalty_at_half_ratio(self):
         # oracle: partial sums of l^2 * 0.5^l stabilize below 1e-10 by l ~ 60

@@ -1,4 +1,8 @@
+import time
+
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 
@@ -9,6 +13,7 @@ from aoii_harq import (
     FixedThreshold,
     MixedThreshold,
     NeverTransmit,
+    PenaltySpec,
     REGIME_MIXED,
     REGIME_NEVER_TRANSMIT,
     REGIME_PURE_THRESHOLD,
@@ -106,6 +111,17 @@ class TestSolveCmdp:
         loose = solve_cmdp(0.2, paper_source, paper_channel, linear_penalty, SeriesConfig(1e-2, 1e-2, l_cap=1))
         assert loose == default
 
+    def test_mixed_aoii_from_the_solve_cut(self, paper_source, paper_channel):
+        # the mixed regime's AoII is the rho_high mixture of the very cycle
+        # sums the search read, under the caller's weighted cut
+        penalty, cfg = PenaltySpec.power(1.5), SeriesConfig(weighted_epsilon=1e-3)
+        sol = solve_cmdp(0.2, paper_source, paper_channel, penalty, cfg)
+        assert sol.regime == REGIME_MIXED
+        low = lagrangian.cycle_sums(sol.n_low, paper_source, paper_channel, penalty, cfg)
+        high = lagrangian.cycle_sums(sol.n_high, paper_source, paper_channel, penalty, cfg)
+        length, _, cost = (sol.rho_high * h + (1.0 - sol.rho_high) * l for h, l in zip(high, low))
+        assert sol.predicted_aoii == pytest.approx(cost / length, rel=1e-14)
+
     def test_broken_certificate_raises(self, monkeypatch, paper_source, paper_channel, linear_penalty):
         # a threshold oracle that disagrees with the cycle sums at lambda* > 0
         real = optimizer.optimal_threshold
@@ -157,6 +173,50 @@ class TestSolveCmdp:
         for bad in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError):
                 solve_cmdp(bad, paper_source, paper_channel, linear_penalty)
+
+
+class TestEdgeSolves:
+    """Near the limits mu -> alpha and p_e -> 1 a solve ends, in bounded
+    time, in a solution or a typed SolverError."""
+
+    def test_mu_just_below_alpha_solves(self, paper_channel, linear_penalty):
+        start = time.perf_counter()
+        sol = solve_cmdp(0.2, SourceModel(alpha=0.5, mu=0.5 * (1.0 - 1e-3)), paper_channel, linear_penalty)
+        assert time.perf_counter() - start < 2.0
+        assert sol.regime == REGIME_MIXED and abs(sol.predicted_rate - 0.2) <= 1e-9
+
+    @pytest.mark.parametrize("budget", [0.2, 0.5])
+    @pytest.mark.parametrize("source, channel", [
+        (SourceModel(alpha=0.5, mu=0.5 - 1e-6), ChannelModel(p_e=0.5, c=0.5, r_max=2)),
+        (SourceModel.from_states(0.5, 16), ChannelModel(p_e=1.0 - 1e-9, c=1.0)),
+    ], ids=["mu=alpha-1e-6", "p_e=1-1e-9"])
+    def test_solves_or_raises(self, linear_penalty, source, channel, budget):
+        start = time.perf_counter()
+        try:
+            sol = solve_cmdp(budget, source, channel, linear_penalty)
+        except SolverError:
+            pass
+        else:
+            assert sol.predicted_rate <= budget + 1e-9
+        assert time.perf_counter() - start < 2.0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    alpha=st.floats(0.01, 0.99),
+    n_states=st.integers(2, 64),
+    p_e=st.floats(0.01, 0.99),
+    c=st.floats(0.01, 1.0),
+    r_max=st.none() | st.integers(0, 4),
+    combining=st.sampled_from(["soft", "none"]),
+)
+def test_predicted_aoii_does_not_increase_with_budget(alpha, n_states, p_e, c, r_max, combining):
+    source = SourceModel.from_states(alpha, n_states)
+    assume(source.mu < source.alpha)
+    channel = ChannelModel(p_e=p_e, c=c, r_max=r_max, combining=combining)
+    aoiis = [solve_cmdp(budget, source, channel, PenaltySpec.linear()).predicted_aoii
+             for budget in np.linspace(0.05, 1.0, 20)]
+    assert all(b <= a for a, b in zip(aoiis, aoiis[1:]))
 
 
 class TestSolutionPolicy:

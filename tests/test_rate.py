@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from aoii_harq import (
     ChannelModel,
+    SeriesConfig,
     SourceModel,
     achieved_rate,
     g_for_threshold,
@@ -90,7 +92,7 @@ class TestAchievedRate:
             assert analysis.stationary[(k, 0)] == pytest.approx(expected, rel=1e-12)
 
     def test_normalization_with_declared_tail(self, paper_source, paper_channel):
-        analysis = achieved_rate(3, paper_source, paper_channel, tail_tol=1e-12)
+        analysis = achieved_rate(3, paper_source, paper_channel, cfg=SeriesConfig(epsilon=1e-12))
         total = sum(analysis.stationary.values()) + analysis.truncation_mass
         assert total == pytest.approx(1.0, abs=1e-9)
         assert 0.0 <= analysis.truncation_mass <= 1e-12
@@ -211,3 +213,19 @@ class TestMixedChain:
             mixed_chain_analysis(0, 0.5, paper_source, paper_channel, linear_penalty)
         with pytest.raises(ValueError):
             mixed_chain_analysis(3, 1.5, paper_source, paper_channel, linear_penalty)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    alpha=st.floats(0.01, 0.99),
+    n_states=st.integers(2, 64),
+    p_e=st.floats(0.01, 0.99),
+    c=st.floats(0.01, 1.0),
+    r_max=st.none() | st.integers(0, 4),
+    combining=st.sampled_from(["soft", "none"]),
+)
+def test_rate_strictly_decreases_in_the_threshold(alpha, n_states, p_e, c, r_max, combining):
+    source = SourceModel.from_states(alpha, n_states)
+    channel = ChannelModel(p_e=p_e, c=c, r_max=r_max, combining=combining)
+    rates = [achieved_rate(n0, source, channel).rate for n0 in range(1, 13)]
+    assert all(b < a for a, b in zip(rates, rates[1:]))
