@@ -2,7 +2,9 @@
 source over a slotted HARQ channel, measured by the age of incorrect
 information (AoII).
 
-The package solves the constrained average-cost problem in closed form
+The model module holds the source, channel and penalty types and the one
+transmit kernel, gamma_arrays, that every computation reads.  The package
+solves the constrained average-cost problem in closed form
 (lagrangian + rate + optimizer), validates the solution against an
 independent relative-value-iteration oracle (rvi), and measures policies by
 seeded Monte Carlo simulation (sim).  The cli module wraps everything as an
@@ -12,6 +14,7 @@ experiment harness.
 from .errors import (
     BoundednessError,
     ConfigError,
+    DegenerateKernelError,
     DivergenceError,
     SolverError,
     ThresholdSearchError,
@@ -27,16 +30,12 @@ from .lagrangian import (
     value_at,
 )
 from .model import (
-    TRANSMIT,
-    WAIT,
     ChannelModel,
     GammaPair,
     PenaltySpec,
     SourceModel,
-    State,
     gamma,
     gamma_arrays,
-    transition_dist,
     validate_boundedness,
 )
 from .optimizer import (

@@ -21,6 +21,11 @@ class BoundednessError(SolverError):
     """The average-AoII boundedness certificate failed; refusing to solve."""
 
 
+class DegenerateKernelError(SolverError, ValueError):
+    """A transmit coefficient gamma1(r) or gamma2(r) is negative, or their sum
+    rounds to 1 or above, so a transmission could never reset the AoII."""
+
+
 class ConfigError(ValueError):
     """A run configuration failed schema validation.
 

@@ -1,4 +1,4 @@
-"""Markov source, HARQ channel, AoII penalty, and the exact one-step kernel.
+"""Markov source, HARQ channel, AoII penalty, and the transmit kernel.
 
 The controlled process lives on states (delta, r): delta is the age of
 incorrect information (consecutive slots the monitor's estimate has disagreed
@@ -6,6 +6,12 @@ with the source) and r is the number of packets already sent for the value
 currently being communicated.  Per slot the scheduler either waits or
 transmits; a transmission is decoded with probability p(r) that grows with r
 when the decoder soft-combines retransmissions.
+
+Waiting from a stale state resets the AoII with probability mu, and at
+delta = 0 either action keeps it at 0 with probability alpha.  A transmission
+from a stale state advances the count with gamma1(r), restarts it with
+gamma2(r) and resets the rest.  ``gamma_arrays`` alone forms and range-checks
+these coefficients; the per-state view of the kernel is a test oracle.
 """
 
 from __future__ import annotations
@@ -14,10 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError
-
-WAIT = "wait"
-TRANSMIT = "transmit"
+from .errors import DegenerateKernelError, DivergenceError
 
 _EQ_TOL = 1e-12
 _SERIES_BLOCK = 8192
@@ -179,27 +182,6 @@ class PenaltySpec:
         return float(self.evaluate(delta))
 
 
-@dataclass(frozen=True, order=True)
-class State:
-    """CMDP state: current AoII and transmission count for the current value.
-
-    r is only meaningful while the monitor is stale, hence delta = 0 forces
-    r = 0, and r < delta on every reachable trajectory (each sent packet also
-    ages the estimate by one slot); r <= delta is enforced.
-    """
-
-    delta: int
-    r: int = 0
-
-    def __post_init__(self) -> None:
-        if self.delta < 0 or self.r < 0:
-            raise ValueError(f"state components must be nonnegative, got {(self.delta, self.r)}")
-        if self.delta == 0 and self.r != 0:
-            raise ValueError("transmission count must be 0 when the AoII is 0")
-        if self.r > self.delta:
-            raise ValueError(f"transmission count {self.r} cannot exceed the AoII {self.delta}")
-
-
 @dataclass(frozen=True)
 class GammaPair:
     """Transmit-branch coefficients gamma1(r) = alpha*(1-p(r)) and
@@ -221,51 +203,27 @@ class GammaPair:
 
 
 def gamma(source: SourceModel, channel, r: int) -> GammaPair:
-    """Transmit-branch coefficients for transmission count r."""
-    q = channel.error_probability(r)
-    return GammaPair(source.alpha * q, 1.0 - source.alpha - source.mu * q)
+    """Transmit-branch coefficients for transmission count r: entry r of
+    ``gamma_arrays``."""
+    g1, g2 = gamma_arrays(source, channel, r + 1)
+    return GammaPair(float(g1[r]), float(g2[r]))
 
 
 def gamma_arrays(source: SourceModel, channel, n: int) -> tuple[np.ndarray, np.ndarray]:
     """gamma1(r) and gamma2(r) for r < n as arrays, checked as GammaPair checks
-    each pair."""
+    each pair: raises DegenerateKernelError (a SolverError and a ValueError)
+    at the first r out of range."""
     q = channel.error_probability(np.arange(n))
     g1 = source.alpha * q
     g2 = 1.0 - source.alpha - source.mu * q
     bad = np.nonzero((g1 < 0.0) | (g2 < 0.0) | (g1 + g2 >= 1.0))[0]
     if bad.size:
         r = int(bad[0])
-        raise ValueError(
+        raise DegenerateKernelError(
             f"gamma coefficients at r={r} must be nonnegative and sum below 1, "
             f"got gamma1={g1[r]!r}, gamma2={g2[r]!r}"
         )
     return g1, g2
-
-
-def transition_dist(state: State, action: str, source: SourceModel, channel) -> list[tuple[State, float]]:
-    """Exact support and probabilities of the next state.
-
-    Wait: the stale estimate is corrected only by the source wandering back
-    (probability mu); a fresh estimate goes stale with probability 1 - alpha.
-    Transmit from a stale state: the count advances only when the packet fails
-    but the source kept the transmitted value (gamma1); a decoded-but-stale or
-    failed-and-changed outcome restarts the count (gamma2); the rest resets
-    the age.  At delta = 0 both actions induce the same next-state law.
-    """
-    if action not in (WAIT, TRANSMIT):
-        raise ValueError(f"action must be {WAIT!r} or {TRANSMIT!r}, got {action!r}")
-    alpha, mu = source.alpha, source.mu
-    if state.delta == 0:
-        return [(State(0, 0), alpha), (State(1, 0), 1.0 - alpha)]
-    if action == WAIT:
-        return [(State(state.delta + 1, 0), 1.0 - mu), (State(0, 0), mu)]
-    pair = gamma(source, channel, state.r)
-    successors = [
-        (State(state.delta + 1, state.r + 1), pair.gamma1),
-        (State(state.delta + 1, 0), pair.gamma2),
-        (State(0, 0), pair.reset_probability),
-    ]
-    return [(s, p) for s, p in successors if p > 0.0]
 
 
 def settled_sum(penalty, q: float, start: int, tol: float, l_cap: int) -> float:
@@ -299,14 +257,14 @@ def validate_boundedness(source, channel, penalty) -> bool:
 
     Certification is by ratio test plus stabilization: the partial sums are
     accepted once a term falls below BOUNDEDNESS_TOL while the terms are
-    decreasing.  Returns False (never raises) when the terms fail to
-    stabilize within BOUNDEDNESS_L_CAP, which callers must treat as "refuse
-    to solve".  The solver's series controls play no part.
+    decreasing.  Returns False when the terms fail to stabilize within
+    BOUNDEDNESS_L_CAP, which callers must treat as "refuse to solve".  Raises
+    DegenerateKernelError when gamma1(0) or gamma2(0) is out of range, so the
+    ratio q below is always under 1.  The solver's series controls play no
+    part.
     """
     pair = gamma(source, channel, 0)
     q = pair.gamma1 + pair.gamma2
-    if q >= 1.0:
-        return False
     try:
         settled_sum(penalty, q, 1, BOUNDEDNESS_TOL, BOUNDEDNESS_L_CAP)
     except DivergenceError:

@@ -1,17 +1,20 @@
 """Independent oracles for the test suite.
 
 Everything here is implemented directly from the one-step dynamics with
-deliberately different machinery than the package: python-stdlib Monte Carlo
-with a two-uniform factorization, a per-slot numpy-stream loop, dense
-truncated matrix powers, power iteration on an explicitly materialized
-kernel, exact rational elimination on the folded burst chain, and the
-periodic baseline's per-slot affine map of (P(AoII = 0), E[AoII]).  Nothing
-imports from aoii_harq except the tests that compare against these results.
+deliberately different machinery than the package: the per-state kernel as
+an explicit successor list (the package keeps only the transmit coefficient
+arrays), python-stdlib Monte Carlo with a two-uniform factorization, a
+per-slot numpy-stream loop, dense truncated matrix powers, power iteration
+on an explicitly materialized kernel, exact rational elimination on the
+folded burst chain, and the periodic baseline's per-slot affine map of
+(P(AoII = 0), E[AoII]).  Nothing imports from aoii_harq except the tests
+that compare against these results.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import cycle, islice, repeat
 from math import inf, sqrt
@@ -31,6 +34,57 @@ def make_p(p_e, c, r_max=None, combining="soft"):
 def gamma_pair(alpha, mu, p, r):
     q = 1.0 - p(r)
     return alpha * q, 1.0 - alpha - mu * q
+
+
+WAIT = "wait"
+TRANSMIT = "transmit"
+
+
+@dataclass(frozen=True, order=True)
+class State:
+    """CMDP state: current AoII and transmission count for the current value.
+
+    r is only meaningful while the monitor is stale, hence delta = 0 forces
+    r = 0, and r < delta on every reachable trajectory (each sent packet also
+    ages the estimate by one slot); r <= delta is enforced.
+    """
+
+    delta: int
+    r: int = 0
+
+    def __post_init__(self):
+        if self.delta < 0 or self.r < 0:
+            raise ValueError(f"state components must be nonnegative, got {(self.delta, self.r)}")
+        if self.delta == 0 and self.r != 0:
+            raise ValueError("transmission count must be 0 when the AoII is 0")
+        if self.r > self.delta:
+            raise ValueError(f"transmission count {self.r} cannot exceed the AoII {self.delta}")
+
+
+def transition_dist(state, action, alpha, mu, p):
+    """Exact support and probabilities of the next state, as a list of
+    (State, probability) with zero-probability successors left out.
+
+    Wait: the stale estimate is corrected only by the source wandering back
+    (probability mu); a fresh estimate goes stale with probability 1 - alpha.
+    Transmit from a stale state: the count advances only when the packet fails
+    but the source kept the transmitted value (gamma1); a decoded-but-stale or
+    failed-and-changed outcome restarts the count (gamma2); the rest resets
+    the age.  At delta = 0 both actions induce the same next-state law.
+    """
+    if action not in (WAIT, TRANSMIT):
+        raise ValueError(f"action must be {WAIT!r} or {TRANSMIT!r}, got {action!r}")
+    if state.delta == 0:
+        return [(State(0, 0), alpha), (State(1, 0), 1.0 - alpha)]
+    if action == WAIT:
+        return [(State(state.delta + 1, 0), 1.0 - mu), (State(0, 0), mu)]
+    g1, g2 = gamma_pair(alpha, mu, p, state.r)
+    successors = [
+        (State(state.delta + 1, state.r + 1), g1),
+        (State(state.delta + 1, 0), g2),
+        (State(0, 0), 1.0 - g1 - g2),
+    ]
+    return [(s, prob) for s, prob in successors if prob > 0.0]
 
 
 def brute_sim(alpha, mu, p, decide, horizon, seed, f=lambda d: float(d)):

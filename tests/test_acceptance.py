@@ -310,7 +310,7 @@ def test_criterion_4_waiting_regime():
     # The constants asserted here before, 2/3 and 30.303, are those of
     # (1-a)(1-m) / (m (m + (1-a)(1-m))): the step 0 -> 1 weighted by an extra
     # (1-m), i.e. the geometric series indexed one slot late.  That contradicts
-    # the kernel (model.transition_dist, oracles.brute_sim).
+    # the kernel (oracles.transition_dist, oracles.brute_sim).
     exact_fast, exact_slow = 1.0, 24025 / 792
     oracle_fast, oracle_slow = _waiting_oracle(fast), _waiting_oracle(slow)
     exact_ok = (

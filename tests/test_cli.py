@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from aoii_harq import achieved_rate, FixedThreshold, g_wait, PenaltySpec, simulate, SourceModel
-from aoii_harq import lagrangian
+from aoii_harq import lagrangian, model
 from aoii_harq.cli import main
 from aoii_harq.config import load_config, parse_config
 
@@ -104,6 +104,16 @@ class TestSolveCommand:
         assert main(["solve", "--config", cfg]) == 3
         assert "boundedness" in capsys.readouterr().err.lower()
 
+    @pytest.mark.parametrize("command", ["solve", "validate"])
+    def test_degenerate_kernel_is_a_numerical_failure(self, tmp_path, capsys, command):
+        # 1 - alpha - mu*q(0) rounds to 1.0: gamma1(0) + gamma2(0) reaches 1
+        cfg = write_config(tmp_path, source={"alpha": 1e-17, "mu": 1e-18}, channel={"p_e": 0.5, "c": 0.5})
+        assert main([command, "--config", cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure: gamma coefficients at r=0")
+        assert captured.err.count("\n") == 1
+
     def test_output_file_and_determinism(self, tmp_path, capsys):
         cfg = write_config(tmp_path, budget={"R": 0.2})
         out1, out2 = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
@@ -142,6 +152,12 @@ class TestSweepCommand:
             assert row["n_high"] == "" and row["rho_high"] == ""
             assert float(row["rate_analytic"]) == 0.0
             assert row["status"] == "ok"
+
+    def test_degenerate_kernel_row_names_the_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, source={"alpha": 1e-17, "mu": 1e-18}, channel={"p_e": 0.5, "c": 0.5})
+        assert main(["sweep", "--config", cfg]) == 0
+        row = capsys.readouterr().out.splitlines()[-1]
+        assert row.endswith(",error:DegenerateKernelError")
 
     def test_grid_must_increase(self, tmp_path, capsys):
         cfg = write_config(tmp_path, budget={"R_grid": [0.5, 0.2]})
@@ -242,6 +258,41 @@ class TestValidateCommand:
         assert payload["passed"] is False
         failed = {c["name"] for c in payload["checks"] if c["status"] == "fail"}
         assert any("cross-oracle" in name for name in failed)
+
+
+    def test_unconverged_value_iteration_fails_and_exits_one(self, tmp_path, capsys):
+        data = json.loads((ROOT / "configs" / "example.json").read_text(encoding="utf-8"))
+        data["validate"] = {"max_iters": 3}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["validate", "--config", str(path)]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["passed"] is False
+        status = {c["name"]: c["status"] for c in payload["checks"]}
+        cross = [name for name in status if name.startswith("threshold-cross-oracle")]
+        assert cross and all(status[name] == "fail" for name in cross)
+        # no thresholds were read, so none were checked for monotonicity
+        ordered = [name for name in status if name.startswith("thresholds-nonincreasing-r")]
+        assert ordered and all(status[name] == "fail" for name in ordered)
+
+    def test_kernel_checks_read_gamma_arrays(self, capsys, monkeypatch):
+        # a transmission at count 3 that never resets the AoII: the kernel
+        # checks must see it in the one transmit kernel the package computes with
+        exact = model.gamma_arrays
+
+        def stuck(source, channel, n):
+            g1, g2 = exact(source, channel, n)
+            if n > 3:
+                g1[3], g2[3] = 0.0, 1.0
+            return g1, g2
+
+        monkeypatch.setattr(model, "gamma_arrays", stuck)
+        assert main(["validate", "--config", str(ROOT / "configs" / "example.json")]) == 1
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        reset = checks["kernel-reset-reachability"]
+        assert reset["status"] == "fail" and reset["measured"] == 0.0
+        assert checks["kernel-normalization"]["status"] == "pass"
+        assert checks["gamma-sum-below-one"]["status"] == "fail"
 
 
 class TestWaitAoiiCommand:

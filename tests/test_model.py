@@ -3,19 +3,19 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from aoii_harq import (
     ChannelModel,
+    DegenerateKernelError,
     GammaPair,
     PenaltySpec,
+    SolverError,
     SourceModel,
-    State,
-    TRANSMIT,
-    WAIT,
     gamma,
     gamma_arrays,
-    transition_dist,
     validate_boundedness,
 )
+from oracles import TRANSMIT, WAIT, State
 
 
 def random_models(rng, n):
@@ -130,6 +130,14 @@ class TestPenaltySpec:
             assert np.all(np.diff(vals) > 0)
 
 
+def oracle_dist(state, action, source, channel):
+    """The oracle kernel's successor list for a package source and channel."""
+    p = oracles.make_p(channel.p_e, channel.c, channel.r_max, channel.combining)
+    return oracles.transition_dist(state, action, source.alpha, source.mu, p)
+
+
+# TestState and TestTransitionDist check the per-state kernel oracle, which
+# test_sim checks the samplers against
 class TestState:
     def test_invariants(self):
         State(0, 0)
@@ -210,17 +218,29 @@ class TestGammaArrays:
         with pytest.raises(ValueError):
             gamma_arrays(source, _FixedLaw(p), 4)
 
+    def test_degenerate_kernel_is_a_solver_error(self, linear_penalty):
+        # 1 - alpha - mu*q rounds to 1.0, so a transmission never resets
+        source = SourceModel(alpha=1e-17, mu=1e-18)
+        channel = ChannelModel(p_e=0.5, c=0.5)
+        with pytest.raises(DegenerateKernelError, match="r=0") as caught:
+            gamma_arrays(source, channel, 4)
+        assert isinstance(caught.value, SolverError) and isinstance(caught.value, ValueError)
+        with pytest.raises(DegenerateKernelError):
+            gamma(source, channel, 0)
+        with pytest.raises(DegenerateKernelError):
+            validate_boundedness(source, channel, linear_penalty)
+
 
 class TestTransitionDist:
     def test_wait_from_zero(self):
         source = SourceModel(alpha=0.7, mu=0.3)
-        dist = dict(transition_dist(State(0, 0), WAIT, source, ChannelModel(p_e=0.5, c=0.5)))
+        dist = dict(oracle_dist(State(0, 0), WAIT, source, ChannelModel(p_e=0.5, c=0.5)))
         assert dist[State(0, 0)] == pytest.approx(0.7)
         assert dist[State(1, 0)] == pytest.approx(0.3)
 
     def test_wait_from_stale(self):
         source = SourceModel(alpha=0.5, mu=0.1)
-        dist = dict(transition_dist(State(5, 2), WAIT, source, ChannelModel(p_e=0.5, c=0.5)))
+        dist = dict(oracle_dist(State(5, 2), WAIT, source, ChannelModel(p_e=0.5, c=0.5)))
         assert dist == {
             State(6, 0): pytest.approx(0.9),
             State(0, 0): pytest.approx(0.1),
@@ -231,14 +251,14 @@ class TestTransitionDist:
         # reset = 53/120 (substitution plus the renormalization identity)
         source = SourceModel(alpha=0.5, mu=1 / 30)
         channel = ChannelModel(p_e=0.5, c=0.5)
-        dist = dict(transition_dist(State(5, 2), TRANSMIT, source, channel))
+        dist = dict(oracle_dist(State(5, 2), TRANSMIT, source, channel))
         assert dist[State(6, 3)] == pytest.approx(1 / 16, abs=1e-15)
         assert dist[State(6, 0)] == pytest.approx(119 / 240, abs=1e-15)
         assert dist[State(0, 0)] == pytest.approx(53 / 120, abs=1e-15)
 
     def test_transmit_from_zero_marginalizes_count(self):
         source = SourceModel(alpha=0.6, mu=0.2)
-        dist = dict(transition_dist(State(0, 0), TRANSMIT, source, ChannelModel(p_e=0.9, c=1.0)))
+        dist = dict(oracle_dist(State(0, 0), TRANSMIT, source, ChannelModel(p_e=0.9, c=1.0)))
         assert dist[State(0, 0)] == pytest.approx(0.6)
         assert dist[State(1, 0)] == pytest.approx(0.4)
 
@@ -247,7 +267,7 @@ class TestTransitionDist:
         for source, channel in random_models(rng, 25):
             for delta, r in [(0, 0), (1, 0), (2, 1), (7, 3), (40, 5), (100, 0)]:
                 for action in (WAIT, TRANSMIT):
-                    dist = transition_dist(State(delta, r), action, source, channel)
+                    dist = oracle_dist(State(delta, r), action, source, channel)
                     assert abs(sum(p for _, p in dist) - 1.0) <= 1e-12
                     assert all(p > 0.0 for _, p in dist)
 
@@ -259,12 +279,12 @@ class TestTransitionDist:
                 if delta == 0:
                     r = 0
                 for action in (WAIT, TRANSMIT):
-                    dist = dict(transition_dist(State(delta, r), action, source, channel))
+                    dist = dict(oracle_dist(State(delta, r), action, source, channel))
                     assert dist.get(State(0, 0), 0.0) > 0.0
 
     def test_rejects_unknown_action(self):
         with pytest.raises(ValueError):
-            transition_dist(State(1, 0), "hold", SourceModel(0.5, 0.2), ChannelModel(p_e=0.5, c=0.5))
+            oracle_dist(State(1, 0), "hold", SourceModel(0.5, 0.2), ChannelModel(p_e=0.5, c=0.5))
 
 
 class TestBoundedness:

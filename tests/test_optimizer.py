@@ -200,6 +200,20 @@ class TestEdgeSolves:
             assert sol.predicted_rate <= budget + 1e-9
         assert time.perf_counter() - start < 2.0
 
+    @pytest.mark.parametrize("exponent", range(25, 41))
+    def test_power_penalty_near_the_boundedness_edge(self, paper_source, paper_channel, exponent):
+        # f(d) = d**exponent: the certificate's terms f(l+1) q**l, with
+        # q = gamma1(0) + gamma2(0) = 0.733, peak near l = 100 at 1e48.7 for
+        # exponent 31 and 1e50.7 for 32, past the ratio test's 1e50 guard
+        start = time.perf_counter()
+        try:
+            sol = solve_cmdp(0.2, paper_source, paper_channel, PenaltySpec.power(exponent))
+        except SolverError:
+            pass
+        else:
+            assert sol.predicted_rate <= 0.2 + 1e-9
+        assert time.perf_counter() - start < 2.0
+
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(

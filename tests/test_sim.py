@@ -16,15 +16,11 @@ from aoii_harq import (
     Periodic,
     SimReport,
     SourceModel,
-    State,
-    TRANSMIT,
-    WAIT,
     g_wait,
     mixed_chain_analysis,
     replicate,
     simulate,
     split_seed,
-    transition_dist,
 )
 from aoii_harq.marks import ResetMarks, periodic_blocks
 from aoii_harq.sim import _Bursts
@@ -370,8 +366,9 @@ class TestSimulate:
                 if n < 1000:
                     continue
                 delta, r, a = int(code // 128), int((code // 2) % 64), int(code % 2)
-                dist = transition_dist(
-                    State(delta, r), TRANSMIT if a else WAIT, source, channel
+                dist = oracles.transition_dist(
+                    oracles.State(delta, r), oracles.TRANSMIT if a else oracles.WAIT,
+                    source.alpha, source.mu, oracles.make_p(channel.p_e, channel.c, channel.r_max),
                 )
                 observed = nxt_code[rows]
                 for succ, p in dist:
