@@ -10,7 +10,7 @@ class TruncationError(SolverError):
 
 
 class DivergenceError(SolverError):
-    """A series failed the ratio test (diverges or decays too slowly to sum)."""
+    """A series has a term that is not finite, or does not settle within its cap."""
 
 
 class ThresholdSearchError(SolverError):

@@ -12,6 +12,12 @@ delta = 0 either action keeps it at 0 with probability alpha.  A transmission
 from a stale state advances the count with gamma1(r), restarts it with
 gamma2(r) and resets the rest.  ``gamma_arrays`` alone forms and range-checks
 these coefficients; the per-state view of the kernel is a test oracle.
+
+The problem is well posed when always transmitting has a finite average
+AoII, sum_l f(l+1) q^l < inf with q = gamma1(0) + gamma2(0).
+``validate_boundedness`` certifies this from where the terms settle, at a
+few dozen ages, without summing them; ``settled_sum``, which the waiting
+cost still uses, sums a series up to its settling term.
 """
 
 from __future__ import annotations
@@ -26,6 +32,9 @@ _EQ_TOL = 1e-12
 _SERIES_BLOCK = 8192
 BOUNDEDNESS_TOL = 1e-10  # a certified series' settling term lies below this
 BOUNDEDNESS_L_CAP = 1_000_000  # a series not settled by this term is refused
+# term indices at which validate_boundedness tests the settle rule past a
+# table's head: geometric from 1 to BOUNDEDNESS_L_CAP, 39 distinct
+_PROBES = np.array(sorted({round(BOUNDEDNESS_L_CAP ** (k / 39)) for k in range(40)}), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -230,22 +239,25 @@ def settled_sum(penalty, q: float, start: int, tol: float, l_cap: int) -> float:
     """sum_{i >= start} f(i+1) q^i, up to and including the first term that is
     0, or below ``tol`` and below the term before it.
 
-    Terms are summed in blocks of 8192.  Raises DivergenceError when a term is
-    not finite or exceeds 1e50 (ratio test), or when no term settles by
-    i = ``l_cap``.
+    Terms are summed in blocks of 8192, evaluated with numpy's overflow
+    warnings off.  Raises DivergenceError when a term up to the settling one
+    or the partial sum is not finite (an f that overflows), or when no term
+    settles by i = ``l_cap``.  A finite term, however large, is summed.
     """
     total = 0.0
     prev = np.inf
     for i in range(start, l_cap + 1, _SERIES_BLOCK):
         idx = np.arange(i, min(i + _SERIES_BLOCK, l_cap + 1), dtype=float)
-        terms = penalty.evaluate(idx + 1.0) * np.power(q, idx)
-        if not np.all(np.isfinite(terms)) or terms.max() > 1e50:
-            raise DivergenceError(f"the series of f(i+1) q^i, q = {q!r}, fails the ratio test")
-        before = np.concatenate(([prev], terms[:-1]))
-        settled = np.flatnonzero((terms == 0.0) | ((terms < tol) & (terms < before)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = penalty.evaluate(idx + 1.0) * np.power(q, idx)
+            before = np.concatenate(([prev], terms[:-1]))
+            settled = np.flatnonzero((terms == 0.0) | ((terms < tol) & (terms < before)))
+            used = terms[: settled[0] + 1] if settled.size else terms
+            total += float(used.sum())
+        if not (np.all(np.isfinite(used)) and np.isfinite(total)):
+            raise DivergenceError(f"the series of f(i+1) q^i, q = {q!r}, has a term or sum that is not finite")
         if settled.size:
-            return total + float(terms[: settled[0] + 1].sum())
-        total += float(terms.sum())
+            return total
         prev = terms[-1]
     raise DivergenceError(
         f"the series of f(i+1) q^i, q = {q!r}, did not settle within l_cap={l_cap} terms"
@@ -255,18 +267,30 @@ def settled_sum(penalty, q: float, start: int, tol: float, l_cap: int) -> float:
 def validate_boundedness(source, channel, penalty) -> bool:
     """Numerically certify sum_{l>=1} f(l+1) * (gamma1(0)+gamma2(0))**l < inf.
 
-    Certification is by ratio test plus stabilization: the partial sums are
-    accepted once a term falls below BOUNDEDNESS_TOL while the terms are
-    decreasing.  Returns False when the terms fail to stabilize within
-    BOUNDEDNESS_L_CAP, which callers must treat as "refuse to solve".  Raises
-    DegenerateKernelError when gamma1(0) or gamma2(0) is out of range, so the
-    ratio q below is always under 1.  The solver's series controls play no
-    part.
+    The series is certified when its terms t_l = f(l+1) q**l settle by
+    l = BOUNDEDNESS_L_CAP: some t_l is 0, or is below BOUNDEDNESS_TOL and
+    below t_{l-1} (t_0 counting as infinite).  Nothing is summed.  Past a
+    table penalty's head of len(table) terms, every penalty the package
+    accepts (linear, power, a table's linear tail) has log-concave terms, so
+    once a term settles every later one does.  The rule therefore evaluates,
+    in one ``penalty.evaluate`` call, the head and a fixed geometric set of
+    probes ending at BOUNDEDNESS_L_CAP, each term with its predecessor, and
+    accepts when any of these terms settles.  A term that is not finite (an
+    f that overflows) never settles, and a finite term, however large, is no
+    refusal.  So a steep power whose terms overflow before they settle is
+    refused, and so is one whose finite settled stretch falls between two
+    probes.
+
+    Returns False, which callers must treat as "refuse to solve", when no
+    term settles.  Raises DegenerateKernelError when gamma1(0) or gamma2(0)
+    is out of range, so the ratio q below is always under 1.  The solver's
+    series controls play no part.
     """
     pair = gamma(source, channel, 0)
     q = pair.gamma1 + pair.gamma2
-    try:
-        settled_sum(penalty, q, 1, BOUNDEDNESS_TOL, BOUNDEDNESS_L_CAP)
-    except DivergenceError:
-        return False
-    return True
+    tested = np.concatenate((np.arange(1.0, len(getattr(penalty, "table", ())) + 1.0), _PROBES))
+    idx = np.concatenate((tested, tested - 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms, before = np.split(penalty.evaluate(idx + 1.0) * np.power(q, idx), 2)
+        before[0] = np.inf  # tested[0] is l = 1, whose predecessor counts as infinite
+        return bool(np.any((terms == 0.0) | ((terms < BOUNDEDNESS_TOL) & (terms < before))))

@@ -434,3 +434,27 @@ def periodic_finite_law(alpha, mu, p0, period, horizon):
         s = resets[t % period]
         z, e = alpha * z + s * (1.0 - z), (1.0 - s) * (e + 1.0 - z) + (1.0 - alpha) * z
     return z_sum / horizon, e_sum / horizon
+
+
+def boundedness_by_sum(q, f, tol, l_cap):
+    """Sum t_l = f(l+1) q^l from l = 1 in blocks of 8192 up to and including
+    the first term that is 0, or below ``tol`` and below the term before it
+    (t_0 counting as infinite).  True when a term settles by l = ``l_cap``
+    with a finite partial sum; False when no term settles, or a term before
+    the settling one is not finite.  Large finite terms are summed.  ``f``
+    maps an array of ages to penalties."""
+    total, prev = 0.0, inf
+    for start in range(1, l_cap + 1, 8192):
+        idx = np.arange(start, min(start + 8192, l_cap + 1), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = np.asarray(f(idx + 1.0), dtype=float) * q**idx
+            before = np.append(prev, terms[:-1])
+            settled = np.flatnonzero((terms == 0.0) | ((terms < tol) & (terms < before)))
+            used = terms[: settled[0] + 1] if settled.size else terms
+            total += float(np.sum(used))
+        if not (np.all(np.isfinite(used)) and np.isfinite(total)):
+            return False
+        if settled.size:
+            return True
+        prev = terms[-1]
+    return False

@@ -386,6 +386,8 @@ class TestGoldenOutputs:
         ("solve_paper_r0.2.txt", "solve", "tests/golden/paper_r0.2.json", []),
         ("simulate_paper_r0.2.txt", "simulate", "tests/golden/paper_r0.2.json", ["--reps", "2"]),
         ("wait-aoii_paper_r0.2.txt", "wait-aoii", "tests/golden/paper_r0.2.json", []),
+        # d**32: certificate terms peak near 1e50.7, finite, so the solve is certified
+        ("solve_paper_power32.txt", "solve", "tests/golden/paper_power32.json", []),
     ]
 
     @pytest.mark.parametrize("golden, command, config, flags", CASES, ids=[case[0] for case in CASES])

@@ -15,6 +15,7 @@ from aoii_harq import (
     gamma_arrays,
     validate_boundedness,
 )
+from aoii_harq.model import BOUNDEDNESS_L_CAP, BOUNDEDNESS_TOL, settled_sum
 from oracles import TRANSMIT, WAIT, State
 
 
@@ -316,3 +317,67 @@ class TestBoundedness:
         source = SourceModel(alpha=0.5, mu=0.25)
         channel = ChannelModel(p_e=0.5, c=0.5)
         assert validate_boundedness(source, channel, zero_penalty) is True
+
+
+class CountingPenalty:
+    """Wraps a PenaltySpec and counts the ages it is evaluated at."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.ages = 0
+
+    def __getattr__(self, name):
+        return getattr(self.spec, name)
+
+    def evaluate(self, delta):
+        self.ages += np.size(delta)
+        return self.spec.evaluate(delta)
+
+
+# the certificate's rule is exact for these; for steeper powers it may refuse
+# a series whose finite settled stretch falls between two probes
+_EXACT_PENALTIES = [PenaltySpec.linear(), PenaltySpec.power(1.5), PenaltySpec.power(2), PenaltySpec.power(3),
+                    PenaltySpec.from_table([0, 1, 3, 4, 6]), PenaltySpec.from_table([0, 1e-30, 2e-30]),
+                    PenaltySpec.from_table([5, 5.5, 100, 101])]
+_STEEP_PENALTIES = [PenaltySpec.power(e) for e in (8, 25, 32, 50, 80, 89, 120, 200)]
+
+
+def _boundedness_grid():
+    rng = np.random.default_rng(16)
+    models = random_models(rng, 12)
+    models += [(SourceModel(alpha=0.5, mu=float(mu)), ChannelModel(p_e=float(1.0 - gap), c=1.0))
+               for mu in np.geomspace(1e-9, 1e-4, 4) for gap in np.geomspace(1e-12, 1e-3, 4)]
+    models.append((SourceModel(alpha=0.99999, mu=1e-6), ChannelModel(p_e=1e-13, c=0.5)))
+    return models
+
+
+class TestBoundednessRule:
+    """validate_boundedness tests where the terms settle, without summing;
+    oracles.boundedness_by_sum sums them."""
+
+    @pytest.mark.parametrize("source, channel", _boundedness_grid())
+    def test_acceptance_implies_the_summing_oracle(self, source, channel):
+        pair = gamma(source, channel, 0)
+        q = pair.gamma1 + pair.gamma2
+        for penalty in _EXACT_PENALTIES + _STEEP_PENALTIES:
+            accepted = validate_boundedness(source, channel, penalty)
+            summed = oracles.boundedness_by_sum(q, penalty.evaluate, BOUNDEDNESS_TOL, BOUNDEDNESS_L_CAP)
+            if penalty in _EXACT_PENALTIES:
+                assert accepted == summed, penalty
+            else:
+                assert summed or not accepted, penalty
+
+    @pytest.mark.parametrize("spec", [PenaltySpec.linear(), PenaltySpec.power(2),
+                                      PenaltySpec.from_table([0, 1, 3, 4, 6])], ids=["linear", "power2", "table"])
+    def test_evaluates_a_few_dozen_ages(self, paper_source, paper_channel, spec):
+        penalty = CountingPenalty(spec)
+        assert validate_boundedness(paper_source, paper_channel, penalty) is True
+        assert 0 < penalty.ages < 200
+
+
+class TestSettledSum:
+    def test_overflowing_penalty_is_a_divergence(self):
+        # d**200 overflows from d = 35, before the terms at q = 0.9 settle;
+        # the suite's RuntimeWarning filter turns a numpy warning into a failure
+        with pytest.raises(SolverError, match="not finite"):
+            settled_sum(PenaltySpec.power(200), 0.9, 0, 1e-10, 1_000_000)

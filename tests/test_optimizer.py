@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -200,19 +201,34 @@ class TestEdgeSolves:
             assert sol.predicted_rate <= budget + 1e-9
         assert time.perf_counter() - start < 2.0
 
-    @pytest.mark.parametrize("exponent", range(25, 41))
+    @pytest.mark.parametrize("exponent", [*range(25, 41), 80])
     def test_power_penalty_near_the_boundedness_edge(self, paper_source, paper_channel, exponent):
         # f(d) = d**exponent: the certificate's terms f(l+1) q**l, with
         # q = gamma1(0) + gamma2(0) = 0.733, peak near l = 100 at 1e48.7 for
-        # exponent 31 and 1e50.7 for 32, past the ratio test's 1e50 guard
+        # exponent 31 and 1e50.7 for 32, and near l = 260 at 1e158 for 80.
+        # They are finite and settle, so each solve is certified
         start = time.perf_counter()
-        try:
-            sol = solve_cmdp(0.2, paper_source, paper_channel, PenaltySpec.power(exponent))
-        except SolverError:
-            pass
-        else:
-            assert sol.predicted_rate <= 0.2 + 1e-9
+        sol = solve_cmdp(0.2, paper_source, paper_channel, PenaltySpec.power(exponent))
+        assert sol.regime == REGIME_MIXED and sol.n_high == 11
+        assert abs(sol.predicted_rate - 0.2) <= 1e-9 and np.isfinite(sol.predicted_aoii)
         assert time.perf_counter() - start < 2.0
+
+    def test_overflowing_power_is_refused(self, paper_source, paper_channel):
+        # d**200 overflows from d = 35, before its terms can settle; the
+        # suite's RuntimeWarning filter turns a numpy warning into a failure
+        with pytest.raises(BoundednessError):
+            solve_cmdp(0.2, paper_source, paper_channel, PenaltySpec.power(200))
+
+    @pytest.mark.parametrize("exponent", [25, 30, 40])
+    def test_waiting_cost_of_a_steep_power(self, exponent):
+        # mu >= alpha: the never-transmit cost's series peaks near 1e61 at
+        # exponent 25; a finite term, however large, is summed
+        source = SourceModel.from_states(0.01, 32)
+        alpha, mu = source.alpha, source.mu
+        sol = solve_cmdp(0.5, source, ChannelModel(p_e=0.5, c=0.5), PenaltySpec.power(exponent))
+        tail = math.fsum((i + 1.0) ** exponent * (1.0 - mu) ** i for i in range(100_000))
+        assert sol.regime == REGIME_NEVER_TRANSMIT
+        assert sol.predicted_aoii == pytest.approx(mu * (1.0 - alpha) * tail / (mu + 1.0 - alpha), rel=1e-12)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
