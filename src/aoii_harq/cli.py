@@ -211,9 +211,11 @@ def _checks_for_config(cfg: RunConfig) -> list[dict]:
     rvi_cfg = vset.rvi_config(channel)
 
     if source.mu < source.alpha:
+        sol = None
         for lam in vset.lambdas:
             n_closed = lagrangian.optimal_threshold(lam, source, channel, penalty, series_cfg)
-            sol = rvi.rvi_solve(lam, source, channel, penalty, rvi_cfg)
+            # each multiplier starts from the one before's table
+            sol = rvi.rvi_solve(lam, source, channel, penalty, rvi_cfg, start=sol)
             # an unconverged table has no thresholds to read
             thresholds = rvi.extract_thresholds(sol) if sol.converged else {}
             n_oracle = thresholds.get(0)

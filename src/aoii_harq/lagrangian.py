@@ -31,6 +31,7 @@ _TIE_TOL = 1e-12
 
 N0_CEILING = 100_000  # largest threshold a search may return
 _FOLD_CEILING = 1 << 20  # most burst counts a fold may examine
+_WALK_BLOCK = 64  # fewest terms a weighted cut walks between two tests
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,11 @@ class SeriesConfig:
             raise ValueError("l_cap must be at least 1")
 
 
+def _read_only(view: np.ndarray) -> np.ndarray:
+    view.flags.writeable = False
+    return view
+
+
 class SigmaSeries:
     """sigma_l = e0' Q^l 1 on the folded burst chain, its exact sums, and a
     walk of its terms: step h records sigma_h, the inflow m(h, 0) = v_{h-1} .
@@ -69,6 +75,9 @@ class SigmaSeries:
     combining) to one count.  The chain ends early, without a wrap, at the
     first count the burst cannot pass in double precision: where the running
     product of gamma1 is 0.0.
+
+    The walked terms live in float64 buffers that double in size as the walk
+    grows; queries read views of them, never copies.
     """
 
     def __init__(self, source, channel):
@@ -101,12 +110,15 @@ class SigmaSeries:
         self.gamma1, self.gamma2, self.x = g1, g2, x
         self._v = np.zeros(g1.size)
         self._v[0] = 1.0
-        self._sigma, self._m0, self._tail = [1.0], [1.0], [float(self._v @ x)]
+        # sigma, m0 and tail of the terms walked: the first _size entries
+        self._sigma, self._m0, self._tail = np.empty(64), np.empty(64), np.empty(64)
+        self._sigma[0], self._m0[0], self._tail[0] = 1.0, 1.0, self._v @ x
+        self._size = 1
 
     @property
     def depth(self) -> int:
         """Index of the last term walked."""
-        return len(self._sigma) - 1
+        return self._size - 1
 
     def step(self) -> None:
         v = self._v
@@ -115,47 +127,67 @@ class SigmaSeries:
         self._v = np.empty_like(v)
         self._v[1:] = moved[:-1]
         self._v[0] = moved[-1] + inflow
-        self._sigma.append(float(self._v.sum()))
-        self._m0.append(float(inflow))
-        self._tail.append(float(self._v @ self.x))
+        h = self._size
+        if h == self._sigma.size:
+            self._sigma, self._m0, self._tail = (
+                np.concatenate((buf, np.empty(h))) for buf in (self._sigma, self._m0, self._tail)
+            )
+        self._sigma[h] = self._v.sum()
+        self._m0[h] = inflow
+        self._tail[h] = self._v @ self.x
+        self._size = h + 1
 
     def _walk(self, depth: int) -> None:
         while self.depth < depth:
             self.step()
 
     def inflow(self, depth: int) -> np.ndarray:
-        """m(h, 0) for h = 0 .. depth: 1 at h = 0, then e0' Q^(h-1) gamma2."""
+        """m(h, 0) for h = 0 .. depth: 1 at h = 0, then e0' Q^(h-1) gamma2,
+        a read-only view."""
         self._walk(depth)
-        return np.array(self._m0[: depth + 1])
+        return _read_only(self._m0[: depth + 1])
 
     def tail(self, depth: int) -> float:
         """sum_{l >= depth} sigma_l."""
         self._walk(depth)
-        return self._tail[depth]
+        return float(self._tail[depth])
 
     def cutoff(self, cfg: SeriesConfig, delta0: int = 0, penalty=None) -> int:
         """First l with sigma_l < epsilon and, given a penalty, also
         f(delta0 + l) * sigma_l < weighted_epsilon.
 
-        The terms already walked are tested as one array; past them the walk
-        goes on one term at a time, only as far as the cut.  TruncationError
-        is raised when the cut lies past cfg.l_cap.
+        The terms already walked are tested as one array.  Past them the walk
+        goes on one term at a time to the first term below epsilon; past
+        that, given a penalty, in blocks of at least _WALK_BLOCK terms (an
+        eighth of the walk), each tested with one ``penalty.evaluate``.  The
+        walk stops at cfg.l_cap, and TruncationError is raised when the cut
+        lies past it.  f is evaluated with numpy's overflow warnings off: an
+        f(delta0 + l) that is not finite does not meet the cut.
         """
 
         def cut(start: int) -> int | None:
-            sig = np.array(self._sigma[start:])
-            ok = sig < cfg.epsilon
-            if penalty is not None:
-                ls = np.arange(start, start + sig.size, dtype=float)
-                ok &= penalty.evaluate(delta0 + ls) * sig < cfg.weighted_epsilon
+            below = np.flatnonzero(self._sigma[start : self._size] < cfg.epsilon)
+            if not below.size:
+                return None
+            first = start + int(below[0])
+            if penalty is None:
+                return first
+            sig = self._sigma[first : self._size]
+            ls = np.arange(first, self._size, dtype=float)
+            with np.errstate(over="ignore", invalid="ignore"):
+                ok = (sig < cfg.epsilon) & (penalty.evaluate(delta0 + ls) * sig < cfg.weighted_epsilon)
             hits = np.flatnonzero(ok)
-            return start + int(hits[0]) if hits.size else None
+            return first + int(hits[0]) if hits.size else None
 
         depth = cut(0)
         while depth is None and self.depth < cfg.l_cap:
-            self.step()
-            if self._sigma[-1] < cfg.epsilon:
-                depth = cut(self.depth)
+            start = self._size
+            if penalty is None or self._sigma[self.depth] >= cfg.epsilon:
+                self.step()
+            else:
+                self._walk(min(self.depth + max(_WALK_BLOCK, self._size >> 3), cfg.l_cap))
+            if self._sigma[self.depth] < cfg.epsilon:
+                depth = cut(start)
         if depth is None or depth > cfg.l_cap:
             raise TruncationError(f"sigma series not below cutoff after l_cap={cfg.l_cap} terms")
         return depth
@@ -170,7 +202,7 @@ class SigmaSeries:
             return self.total, delta0 * self.total + self.moment
         depth = self.cutoff(cfg, delta0, penalty)
         weights = penalty.evaluate(delta0 + np.arange(depth + 1, dtype=float))
-        return self.total, float(weights @ np.array(self._sigma[: depth + 1]))
+        return self.total, float(weights @ self._sigma[: depth + 1])
 
 
 @lru_cache(maxsize=1)
@@ -183,7 +215,7 @@ def sigma_series(source, channel, cfg: SeriesConfig = SeriesConfig()) -> tuple[n
     """sigma_0 .. sigma_L with L the first index below the epsilon cutoff."""
     series = burst_chain(source, channel)
     depth = series.cutoff(cfg)
-    return np.array(series._sigma[: depth + 1]), depth
+    return _read_only(series._sigma[: depth + 1]), depth
 
 
 def cycle_sums(

@@ -277,9 +277,11 @@ def validate_boundedness(source, channel, penalty) -> bool:
     probes ending at BOUNDEDNESS_L_CAP, each term with its predecessor, and
     accepts when any of these terms settles.  A term that is not finite (an
     f that overflows) never settles, and a finite term, however large, is no
-    refusal.  So a steep power whose terms overflow before they settle is
-    refused, and so is one whose finite settled stretch falls between two
-    probes.
+    refusal.  When no probe settles and some probe term is not finite, the
+    finite terms end between two probes: the last finite term is found by
+    bisecting the integers between them and tested with its predecessor, so
+    a steep power whose terms settle shortly before f overflows is accepted,
+    and one whose terms overflow before they settle is refused.
 
     Returns False, which callers must treat as "refuse to solve", when no
     term settles.  Raises DegenerateKernelError when gamma1(0) or gamma2(0)
@@ -288,9 +290,28 @@ def validate_boundedness(source, channel, penalty) -> bool:
     """
     pair = gamma(source, channel, 0)
     q = pair.gamma1 + pair.gamma2
+
+    def terms(ls):
+        ls = np.asarray(ls, dtype=float)
+        return penalty.evaluate(ls + 1.0) * np.power(q, ls)
+
     tested = np.concatenate((np.arange(1.0, len(getattr(penalty, "table", ())) + 1.0), _PROBES))
-    idx = np.concatenate((tested, tested - 1.0))
     with np.errstate(over="ignore", invalid="ignore"):
-        terms, before = np.split(penalty.evaluate(idx + 1.0) * np.power(q, idx), 2)
+        t, before = np.split(terms(np.concatenate((tested, tested - 1.0))), 2)
         before[0] = np.inf  # tested[0] is l = 1, whose predecessor counts as infinite
-        return bool(np.any((terms == 0.0) | ((terms < BOUNDEDNESS_TOL) & (terms < before))))
+        if np.any((t == 0.0) | ((t < BOUNDEDNESS_TOL) & (t < before))):
+            return True
+        # f only grows, so the terms are finite up to some l and not after it
+        finite = np.isfinite(t[-_PROBES.size :])
+        if finite.all() or not finite[0]:
+            return False
+        k = int(np.argmin(finite))
+        lo, hi = int(_PROBES[k - 1]), int(_PROBES[k])
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if np.isfinite(terms(mid)):
+                lo = mid
+            else:
+                hi = mid
+        last, prev = terms([lo, lo - 1])
+        return bool(last == 0.0 or (last < BOUNDEDNESS_TOL and last < prev))

@@ -1,24 +1,45 @@
 """Relative value iteration on a truncated (delta, r) grid.
 
 This is the independent numerical oracle for the closed-form machinery: it
-knows nothing about thresholds or series, only the one-step kernel.  The grid
-caps delta at delta_max and r at r_cap with hold-at-the-cap semantics (the
-successor delta+1 maps to delta_max, r+1 to r_cap), which preserves the
-single-recurrent-class structure; truncation bias is measured by re-solving
-with a doubled grid rather than assumed away.
+knows nothing about thresholds or series, only the one-step kernel
+(``gamma_arrays``) and the penalty f.  The grid caps delta at delta_max and r
+at r_cap with hold-at-the-cap semantics (the successor delta+1 maps to
+delta_max, r+1 to r_cap), which preserves the single-recurrent-class
+structure; truncation bias is measured by re-solving with a doubled grid
+rather than assumed away.
 
-The table is held r-major: W[r, delta], C-contiguous, shape (r_cap + 1,
-delta_max + 1).  The transmit successor V(delta+1, r+1) of a cell with
-r < r_cap and delta < delta_max then lies delta_max + 2 places further along
-the flat array, so the g1 term of a sweep is one contiguous multiply against
-g1 repeated along each row.  The cells whose shifted read runs off the grid
-are patched after it with their held successors: column delta = delta_max
-reads (delta_max, r+1), row r = r_cap reads (delta+1, r_cap), and the corner
-reads itself.  The rest of a sweep is a few contiguous passes into buffers
-allocated once per solve.  Each transmit cell is evaluated as
-((g1 V') + (g2 V(delta+1, 0))) + (f + lam), in that order, so the layout
-changes neither the sweep count nor any bit of the result.  values and
-greedy_transmit are returned as transposed views, indexed [delta, r].
+A table is held r-major: W[r, delta], C-contiguous, shape (r_cap + 1,
+delta_max + 1), with column delta = 0 zero (V(0, 0) = 0 is the anchor, and
+the other r at delta = 0 are not states).  The transmit successor
+V(delta+1, r+1) of a cell with r < r_cap and delta < delta_max lies
+delta_max + 2 places further along the flat array, so the g1 term of a sweep
+is one contiguous multiply against g1 repeated along each row; the cells
+whose shifted read runs off the grid are patched after it with their held
+successors (column delta_max reads (delta_max, r+1), row r_cap reads
+(delta+1, r_cap), and the corner reads itself).
+
+A sweep is V <- TV - TV(0, 0).  TV(0, 0) = f(0) + (1 - alpha) V(1, 0)
+depends only on the old table, so it is taken first and folded into the
+per-delta constant row c = f + lam - TV(0, 0) and into the wait branch
+(f - TV(0, 0)) + (1 - mu) V(delta+1, 0); the minimum of the two branches is
+then the anchored new table, written straight into the second of two
+tables that swap each sweep.  The rest of the transmit branch,
+g2[r] V(delta+1, 0) + c[delta], is one rank-2 product [g2, 1] @ [next0; c]:
+with a unit second column and nothing accumulated into the output, it
+rounds as the elementwise form round(round(g2 x) + c) does, which the tests
+check bit for bit on the BLAS in use.  Each transmit cell is
+(g1 V') + (g2 V(delta+1, 0) + c).  A sweep thus reads or writes the whole
+table seven times: the g1 multiply, the rank-2 product, their sum, the
+minimum, the difference from the old table, and its max and min.  The span
+of the Bellman residual TV - V is the span of new - old, column 0 being
+zero in both.
+
+A solve starts from f(delta), or from the values of an earlier solution on
+the same grid (a warm start, as from the previous multiplier); relative
+value iteration converges from any finite table, so the start moves the
+sweep count and, within the stopping tolerance, the last digits of g and
+the values.  values and greedy_transmit are returned as
+transposed views, indexed [delta, r].
 """
 
 from __future__ import annotations
@@ -63,9 +84,22 @@ class RviSolution:
     lam: float
 
 
-def rvi_solve(lam: float, source, channel, penalty, cfg: RviConfig = RviConfig()) -> RviSolution:
-    """Iterate V <- TV - TV(0,0) from V_0(delta, r) = f(delta) until the span
-    of the Bellman residual TV - V drops below span_tol."""
+def rvi_solve(
+    lam: float,
+    source,
+    channel,
+    penalty,
+    cfg: RviConfig = RviConfig(),
+    start: RviSolution | None = None,
+) -> RviSolution:
+    """Iterate V <- TV - TV(0,0) until the span of the Bellman residual
+    TV - V drops below cfg.span_tol.
+
+    The first table is f(delta), or a copy of start.values when an earlier
+    solution on the same grid is given (any multiplier; start is not written
+    to).  Raises ValueError for a negative multiplier, an r_cap shorter than
+    one HARQ round, or a start table of another shape.
+    """
     if lam < 0.0:
         raise ValueError(f"multiplier must be nonnegative, got {lam}")
     round_length = getattr(channel, "round_length", None)
@@ -75,69 +109,68 @@ def rvi_solve(lam: float, source, channel, penalty, cfg: RviConfig = RviConfig()
             "the wrapped decoding law would be misrepresented"
         )
     D, K = cfg.delta_max, cfg.r_cap
+    if start is not None and start.values.shape != (D + 1, K + 1):
+        raise ValueError(
+            f"start table has shape {start.values.shape}, the grid needs {(D + 1, K + 1)}"
+        )
     alpha, mu = source.alpha, source.mu
     g1, g2 = gamma_arrays(source, channel, K + 1)
     f = penalty.evaluate(np.arange(D + 1, dtype=float))
-    shape = (K + 1, D + 1)
-    g1_rows = np.repeat(g1, D + 1).reshape(shape)
-    g2_rows = np.repeat(g2, D + 1).reshape(shape)
-    flam_rows = np.tile(f + lam, (K + 1, 1))
+    flam = f + lam
+    g1_flat = np.repeat(g1, D + 1)
+    step = D + 2
 
-    # Initial table f(delta), anchored at the reference state.  RVI is
-    # invariant to constant shifts of the initial table, so zeroing (0, 0) up
-    # front lets every sweep drop the V(0,0) terms from the operator.
-    W = np.tile(f, (K + 1, 1))
+    # rank-2 factors of g2[r] * next0[delta] + c[delta]: G = [g2, 1] and the
+    # rows of N, next0 = W[0, delta+1] with hold at the cap and c
+    G = np.column_stack((g2, np.ones(K + 1)))
+    N = np.empty((2, D + 1))
+    next0, const = N
+    wait = np.empty(D + 1)
+    rank2 = np.empty((K + 1, D + 1))
+
+    W = np.tile(f, (K + 1, 1)) if start is None else np.array(start.values.T, dtype=float, order="C")
     W[:, 0] = 0.0
-    flat, step = W.reshape(-1), D + 2
-    next0 = np.empty(D + 1)          # W[0, delta+1] with hold at the cap
-    wait = np.empty(D + 1)           # the wait branch of TV per delta
-    trans = np.empty(shape)          # the transmit branch, then TV
-    g2_term = np.empty(shape)        # g2[r] * next0[delta]
-    trans_flat, g1_flat = trans.reshape(-1), g1_rows.reshape(-1)
+    spare = np.empty_like(W)
 
-    def backup():
-        """The wait branch of TV per delta into wait and the transmit branch
-        per (r, delta) into trans."""
+    def backup(W, out, shift):
+        """TV - shift: the wait branch per delta into wait and the transmit
+        branch per (r, delta) into out."""
         next0[:D] = W[0, 1:]
         next0[D] = W[0, D]
-        np.add(f, np.multiply(next0, 1.0 - mu, out=wait), out=wait)
-        np.multiply(flat[step:], g1_flat[:-step], out=trans_flat[:-step])
-        np.multiply(W[1:, D], g1[:K], out=trans[:K, D])
-        np.multiply(W[K, 1:], g1[K], out=trans[K, :D])
-        trans[K, D] = W[K, D] * g1[K]
-        np.copyto(g2_term, next0)
-        np.add(trans, np.multiply(g2_rows, g2_term, out=g2_term), out=trans)
-        np.add(trans, flam_rows, out=trans)
+        np.subtract(flam, shift, out=const)
+        np.add(np.multiply(next0, 1.0 - mu, out=wait), f - shift, out=wait)
+        out_flat = out.reshape(-1)
+        np.multiply(W.reshape(-1)[step:], g1_flat[:-step], out=out_flat[:-step])
+        np.multiply(W[1:, D], g1[:K], out=out[:K, D])
+        np.multiply(W[K, 1:], g1[K], out=out[K, :D])
+        out[K, D] = W[K, D] * g1[K]
+        np.add(out, np.matmul(G, N, out=rank2), out=out)
 
     converged = False
     iterations = cfg.max_iters
-    tv00 = f[0] + (1.0 - alpha) * W[0, 1]
     for it in range(cfg.max_iters):
-        backup()
-        TV = np.minimum(wait, trans, out=trans)
         tv00 = f[0] + (1.0 - alpha) * W[0, 1]
-        TV[0, 0] = tv00
-
-        # The residual TV - W goes into W, which is rebuilt from TV below.
-        # W[0, 0] is exactly 0, so resid[0, 0] is TV(0,0) - V(0,0); it stands
-        # in for the other r at delta = 0, which are not states of the chain.
-        resid = np.subtract(TV, W, out=W)
-        resid[1:, 0] = resid[0, 0]
+        backup(W, spare, tv00)
+        new = np.minimum(wait, spare, out=spare)
+        new[:, 0] = 0.0
+        # the old table is not read again: it takes the residual, then the
+        # next sweep's backup
+        resid = np.subtract(new, W, out=W)
         span = resid.max() - resid.min()
-        np.subtract(TV, tv00, out=W)
-        W[1:, 0] = 0.0
+        W, spare = new, W
         if span <= cfg.span_tol:
             converged = True
             iterations = it + 1
             break
 
-    # Greedy actions from the final table.  Ties break toward "wait" with a
-    # relative slack so roundoff cannot flip exactly-indifferent states (at
-    # mu = alpha the two branches are analytically equal wherever the value
-    # function is flat in r).
-    backup()
+    # Greedy actions from the final table, backed up unshifted so the tie
+    # slack keeps its scale.  Ties break toward "wait" with a relative slack
+    # so roundoff cannot flip exactly-indifferent states (at mu = alpha the
+    # two branches are analytically equal wherever the value function is
+    # flat in r).
+    backup(W, spare, 0.0)
     tie = 1e-12 * np.maximum(1.0, np.abs(wait))
-    greedy = trans < wait - tie
+    greedy = spare < wait - tie
     greedy[:, 0] = False
     return RviSolution(float(tv00), W.T, greedy.T, iterations, converged, lam)
 

@@ -104,7 +104,8 @@ class GridRecord:
 @pytest.fixture(scope="module")
 def grid_records():
     """One RVI solve per (source, channel, lambda) on the criterion-1 grid,
-    reduced to the summaries the criteria need."""
+    each multiplier warm-started from the one before, reduced to the
+    summaries the criteria need."""
     records = []
     for alpha, n_states in product(ALPHAS, N_STATES):
         mu = (1.0 - alpha) / (n_states - 1)
@@ -115,9 +116,10 @@ def grid_records():
             channel = _channel(p_e, c, r_max)
             cfg = RviConfig(DELTA_MAX, _r_cap(channel), span_tol=SPAN_TOL)
             segments = monotone_segments(channel, cfg.r_cap)
+            sol = None
             for lam in LAMBDAS:
                 key = (alpha, n_states, p_e, c, r_max)
-                sol = rvi_solve(lam, source, channel, PEN, cfg)
+                sol = rvi_solve(lam, source, channel, PEN, cfg, start=sol)
                 n_closed = optimal_threshold(lam, source, channel, PEN)
                 g_closed = g_for_threshold(n_closed, lam, source, channel, PEN)
                 rate = achieved_rate(n_closed, source, channel).rate

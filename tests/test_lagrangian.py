@@ -15,6 +15,7 @@ from aoii_harq import (
     gamma_arrays,
     optimal_threshold,
     sigma_series,
+    solve_cmdp,
     value_at,
 )
 from aoii_harq import lagrangian
@@ -29,6 +30,24 @@ def threshold_margin(n0, lam, source, channel, penalty):
     v_lo = value_at(n0, n0, lam, g, source, channel, penalty)
     v_hi = value_at(n0 + 1, n0, lam, g, source, channel, penalty)
     return (1.0 - source.mu) * v_hi - v_lo + penalty(n0) - g
+
+
+class CountingPenalty:
+    """Wraps a PenaltySpec and counts its evaluate calls."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.spec, name)
+
+    def __call__(self, delta):
+        return self.spec(delta)
+
+    def evaluate(self, delta):
+        self.calls += 1
+        return self.spec.evaluate(delta)
 
 
 # keyed by r_max for the first two, then one channel per other fold rule
@@ -154,6 +173,25 @@ class TestSigmaSeries:
         analysis.stationary_arrays
         sigma_series(paper_source, paper_channel)
         assert sigma_steps[0] == depth == analysis.depth
+
+    def test_queries_read_the_walk_without_copying(self, paper_source, paper_channel):
+        sigmas, depth = sigma_series(paper_source, paper_channel)
+        again, _ = sigma_series(paper_source, paper_channel)
+        inflow = burst_chain(paper_source, paper_channel).inflow(depth)
+        assert np.shares_memory(sigmas, again)
+        for view in (sigmas, inflow):
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = 0.0
+
+    def test_weighted_cut_tests_blocks_of_terms(self):
+        # near q -> 1 the weighted cut lies ~10k terms past the epsilon cut;
+        # a penalty.evaluate per walked term would take over 11,000 calls
+        source, channel = SourceModel(0.5, 1e-4), ChannelModel(p_e=0.999, c=1.0)
+        penalty = CountingPenalty(PenaltySpec.power(1.0))
+        sol = solve_cmdp(0.2, source, channel, penalty)
+        assert penalty.calls < 1_000
+        exact = solve_cmdp(0.2, source, channel, PenaltySpec.linear())
+        assert (sol.regime, sol.n_high, sol.n_low) == (exact.regime, exact.n_high, exact.n_low)
 
     @pytest.mark.parametrize("epsilon", [0.0, 1.0, 2.0])
     def test_epsilon_must_lie_below_the_first_term(self, epsilon):

@@ -334,12 +334,12 @@ class CountingPenalty:
         return self.spec.evaluate(delta)
 
 
-# the certificate's rule is exact for these; for steeper powers it may refuse
-# a series whose finite settled stretch falls between two probes
-_EXACT_PENALTIES = [PenaltySpec.linear(), PenaltySpec.power(1.5), PenaltySpec.power(2), PenaltySpec.power(3),
-                    PenaltySpec.from_table([0, 1, 3, 4, 6]), PenaltySpec.from_table([0, 1e-30, 2e-30]),
-                    PenaltySpec.from_table([5, 5.5, 100, 101])]
-_STEEP_PENALTIES = [PenaltySpec.power(e) for e in (8, 25, 32, 50, 80, 89, 120, 200)]
+# penalties whose terms never overflow, then steep powers whose terms may
+# overflow before, or only after, they settle
+_PENALTIES = [PenaltySpec.linear(), PenaltySpec.power(1.5), PenaltySpec.power(2), PenaltySpec.power(3),
+              PenaltySpec.from_table([0, 1, 3, 4, 6]), PenaltySpec.from_table([0, 1e-30, 2e-30]),
+              PenaltySpec.from_table([5, 5.5, 100, 101])]
+_PENALTIES += [PenaltySpec.power(e) for e in (8, 25, 32, 50, 80, 85, 89, 120, 150, 200)]
 
 
 def _boundedness_grid():
@@ -357,15 +357,27 @@ class TestBoundednessRule:
 
     @pytest.mark.parametrize("source, channel", _boundedness_grid())
     def test_acceptance_implies_the_summing_oracle(self, source, channel):
+        # and refusal implies it too: rule and oracle agree on every case
         pair = gamma(source, channel, 0)
         q = pair.gamma1 + pair.gamma2
-        for penalty in _EXACT_PENALTIES + _STEEP_PENALTIES:
+        for penalty in _PENALTIES:
             accepted = validate_boundedness(source, channel, penalty)
             summed = oracles.boundedness_by_sum(q, penalty.evaluate, BOUNDEDNESS_TOL, BOUNDEDNESS_L_CAP)
-            if penalty in _EXACT_PENALTIES:
-                assert accepted == summed, penalty
-            else:
-                assert summed or not accepted, penalty
+            assert accepted == summed, penalty
+
+    @pytest.mark.parametrize("exponent, settles", [(85, True), (89, True), (150, False)])
+    def test_settled_stretch_between_two_probes(self, exponent, settles):
+        # q = 0.7522: d**89's terms settle from l = 2,531 and are not finite
+        # from l = 2,907, both between the probes 2,424 and 3,455; the last
+        # finite term, found by bisection, decides
+        source, channel = SourceModel(alpha=0.5, mu=0.1), ChannelModel(p_e=0.6305, c=1.0)
+        pair = gamma(source, channel, 0)
+        penalty = CountingPenalty(PenaltySpec.power(exponent))
+        assert validate_boundedness(source, channel, penalty) is settles
+        summed = oracles.boundedness_by_sum(pair.gamma1 + pair.gamma2, penalty.spec.evaluate,
+                                            BOUNDEDNESS_TOL, BOUNDEDNESS_L_CAP)
+        assert summed is settles
+        assert penalty.ages < 200
 
     @pytest.mark.parametrize("spec", [PenaltySpec.linear(), PenaltySpec.power(2),
                                       PenaltySpec.from_table([0, 1, 3, 4, 6])], ids=["linear", "power2", "table"])

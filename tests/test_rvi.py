@@ -1,10 +1,12 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
 
 from aoii_harq import (
     ChannelModel,
+    gamma_arrays,
     PenaltySpec,
     RviConfig,
     SourceModel,
@@ -52,8 +54,9 @@ class TestRviSolve:
         assert sol.g == pytest.approx(g_wait(source, linear_penalty), rel=1e-4)
 
     def test_g_matches_series_evaluation(self, fast_source, fast_channel, linear_penalty):
+        sol = None
         for lam in (0.0, 2.0, 10.0):
-            sol = rvi_solve(lam, fast_source, fast_channel, linear_penalty, CFG)
+            sol = rvi_solve(lam, fast_source, fast_channel, linear_penalty, CFG, start=sol)
             n0 = optimal_threshold(lam, fast_source, fast_channel, linear_penalty)
             g = g_for_threshold(n0, lam, fast_source, fast_channel, linear_penalty)
             assert sol.g == pytest.approx(g, rel=1e-4)
@@ -147,33 +150,36 @@ PIN_CASES = {
 # name: (sha256 of values, sha256 of greedy_transmit, repr(g), iterations, converged),
 # recorded from the delta-major sweep that the r-major one replaced; table,
 # smallest-grid and unconverged (non-dyadic p_e or c) re-recorded once the
-# failure mass q = p_e c^r was formed directly instead of as 1 - p(r)
+# failure mass q = p_e c^r was formed directly instead of as 1 - p(r); the
+# values and g re-recorded once the anchor was folded into the sweep and
+# g2 V(delta+1, 0) + c became a rank-2 product (greedy tables, iterations
+# and convergence unchanged, g within 1e-15 relative)
 PINS = {
-    "paper-lam0": ("017dc9ddfd58a5e8c029d3f42b9711eddecb5fc67211eb4f6b6a79cf4f5fda15",
+    "paper-lam0": ("b90116f6a7784379c36dac32128f855355c4d0977e86f36a28a3fb54b26344c2",
                    "c0b07d7ce7115c1b0c8eddb212c29f0c515f1199c3330e946cad9eb79d98c6ef",
-                   "2.0919254438231", 80, True),
-    "paper-lam5": ("55b01b1fda64eb9144192cfc5a05a5a19a886c551e94e88473c2f4309fd11bd1",
+                   "2.0919254438231003", 80, True),
+    "paper-lam5": ("45525709f259a4d49eb4751ca738fc518d991d703569c486c123f77196cb5e09",
                    "9fc38aca27d814ee456abaaf3a35b008ab270b8cd837acfcf9008978c1094e72",
-                   "5.004001090680741", 80, True),
-    "unbounded-c0.5": ("ef7f176a806d677fb6c2c2ceb737ec3e74e8f7f51fc72c4da5f88f91434c7c57",
+                   "5.004001090680742", 80, True),
+    "unbounded-c0.5": ("5a9ab78ddd0b512cbf616e25812a99331c533643207d2317a186eaff49007428",
                        "5e3bc2bd6bf1e9e6d1bfac9fefc188db98a94c09d9b5340ef5790c8bae621df6",
                        "9.558055129772853", 249, True),
-    "waiting-source": ("0c644809e389475a626e5c0d74ee99b40c044b3a0f881d70c9630e46411127f9",
+    "waiting-source": ("01b239740508ff9471334021988df6f5ec6a2cb28cd057b9228b00dca37fe1a9",
                        "e0200e88ecca42bc2442a9b80102765eb4471195e74b88615a24634a214e8e26",
                        "2.4999999999986486", 79, True),
-    "power-1.5": ("c45e5f0b5d1bbdde809c6bef53a0b16fcf093b79735dfd8556a6e63bfb23e674",
+    "power-1.5": ("86682e7d40b74d2c8612d8c46c5f35f9f25adb1ad6b8ffda180782588bd55911",
                   "e49bb2da23c62bef0c415190e8c63113fae06050a11bb864c988ad9e99ac921b",
-                  "18.998393780342266", 117, True),
-    "table": ("47c3a5272de81fcfcb55ae95f25c4ae107ae86a2e924357995ed5522ef769753",
+                  "18.998393780342248", 117, True),
+    "table": ("fd9bce74260108e5355f1ac136d9ed06709ca11b68cd9429a5108c8651cdde32",
               "7818cc24b4fc046fe0d15074fa86810352bfc5a608aaf4fa50e532d12990c1cd",
-              "18.86109213345492", 133, True),
+              "18.86109213345491", 133, True),
     "smallest-grid": ("0d6ef86cda479308c4986e1df57b05970cd5b4fad3c996bbd391dd0ccf1e53e5",
                       "cdd527f2f138ddd775902d637b6e2cf57140b556aeb4fd7e39d9652043735da5",
                       "0.22972067038752333", 12, True),
-    "r_cap-is-round": ("64e4c229c3a31501039e765526cbe6829c320c1a785d98d33f4b9dcf14aec5a4",
+    "r_cap-is-round": ("acfb3cf751153ff70511e704a1fb2fc8d00893a459b4d671f74987a88ba011b0",
                        "acd0d68cbefae3468d33f3e7d9548a3f1086606b6ff2061a314ebccdd11bdce4",
-                       "9.565031997678814", 248, True),
-    "unconverged": ("6847c5d5ec244ef4f56df7f7e1a8d6729f10853c03b22d3580318e2773470bbd",
+                       "9.56503199767882", 248, True),
+    "unconverged": ("d6d16d96eeb28e8367d36cb3fca5c601eaa3b48307395ef8677d8d34e034b210",
                     "846b687e14d60f871d53747845529b5adfb34e425b8d6aa8eac681cedaf42da1",
                     "0.42939999999999995", 3, False),
 }
@@ -200,3 +206,71 @@ def test_solution_pinned_bit_for_bit(name):
             if hits.size:
                 expected[r] = int(hits[0]) + 1
         assert extract_thresholds(sol) == expected
+
+
+@pytest.mark.parametrize("rows, cols", [(65, 401), (33, 201), (4, 101), (2, 3), (129, 801)])
+def test_rank2_product_rounds_as_elementwise(rows, cols):
+    # the sweep forms g2[r] * next0[delta] + c[delta] as [g2, 1] @ [next0; c];
+    # nothing is accumulated into the output and the second column is 1, so
+    # the product must round as the elementwise form does, whatever the BLAS
+    # kernel, or the pins above would depend on the CPU
+    rng = np.random.default_rng(17)
+    paper_g2 = gamma_arrays(PAPER_SOURCE, PAPER_CHANNEL, rows)[1]
+    for g2 in (rng.random(rows), paper_g2):
+        scale = 10.0 ** rng.integers(-8, 9, cols)
+        N = np.vstack((rng.standard_normal(cols) * scale, rng.standard_normal(cols) * 100.0))
+        G = np.column_stack((g2, np.ones(rows)))
+        got = np.matmul(G, N, out=np.empty((rows, cols)))
+        assert np.array_equal(got, g2[:, None] * N[0] + N[1])
+
+
+# the validate_grid benchmark's (alpha, N, p_e, r_max) points, c = 0.5
+VALIDATE_POINTS = list(itertools.product((0.2, 0.5, 0.8), (2, 16, 128), (0.1, 0.9), (2, None)))
+LAMBDAS = (0.0, 1.0, 5.0, 20.0)
+
+
+def _warm_and_cold(source, channel, penalty, cfg=RviConfig()):
+    """(warm, cold) solutions per multiplier of LAMBDAS, the warm path
+    starting each multiplier from the one before."""
+    warm, sol = [], None
+    for lam in LAMBDAS:
+        sol = rvi_solve(lam, source, channel, penalty, cfg, start=sol)
+        warm.append(sol)
+    return warm, [rvi_solve(lam, source, channel, penalty, cfg) for lam in LAMBDAS]
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("point", VALIDATE_POINTS + ["power-1.5", "table"],
+                             ids=[f"a{a}-n{n}-pe{p}-r{r}" for a, n, p, r in VALIDATE_POINTS]
+                             + ["power-1.5", "table"])
+    def test_warm_and_cold_reach_the_same_solution(self, point):
+        if isinstance(point, str):
+            source, channel = PAPER_SOURCE, PAPER_CHANNEL
+            penalty = (PenaltySpec.power(1.5) if point == "power-1.5"
+                       else PenaltySpec.from_table([0.0, 1.0, 3.0, 4.0, 6.0]))
+        else:
+            alpha, n_states, p_e, r_max = point
+            source = SourceModel.from_states(alpha, n_states)
+            channel = ChannelModel(p_e=p_e, c=0.5, r_max=r_max)
+            penalty = PenaltySpec.linear()
+        for warm, cold in zip(*_warm_and_cold(source, channel, penalty)):
+            assert warm.converged and cold.converged
+            assert extract_thresholds(warm) == extract_thresholds(cold)
+            assert np.array_equal(warm.greedy_transmit, cold.greedy_transmit)
+            assert abs(warm.g - cold.g) <= 1e-9 * abs(cold.g)
+
+    def test_fewer_sweeps_than_cold_solves(self):
+        warm, cold = _warm_and_cold(PAPER_SOURCE, PAPER_CHANNEL, PenaltySpec.linear())
+        assert sum(s.iterations for s in warm) < sum(s.iterations for s in cold)
+
+    def test_start_is_read_not_written(self, fast_source, fast_channel, fast_solution, linear_penalty):
+        before = fast_solution.values.copy()
+        sol = rvi_solve(5.0, fast_source, fast_channel, linear_penalty, CFG, start=fast_solution)
+        assert sol.converged
+        assert np.array_equal(fast_solution.values, before)
+        assert not np.shares_memory(sol.values, fast_solution.values)
+
+    def test_start_of_another_grid_is_refused(self, fast_source, fast_channel, fast_solution, linear_penalty):
+        with pytest.raises(ValueError, match="shape"):
+            rvi_solve(2.0, fast_source, fast_channel, linear_penalty,
+                      RviConfig(delta_max=CFG.delta_max, r_cap=CFG.r_cap + 1), start=fast_solution)
