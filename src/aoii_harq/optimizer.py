@@ -5,12 +5,12 @@ A threshold policy's cycle sums (L, T, C) give its rate T/L and its cost
 series, exactly for the linear penalty.  The rate falls strictly as the
 threshold grows, so n_high, the least threshold at or above the
 unconstrained optimum that meets the budget, is found by bracketing and
-binary search on the integer.  When n_high alone
-undershoots the budget, the policy randomizes per slot between n_low =
-n_high - 1 and n_high (Beutler & Ross, J. Math. Anal. Appl. 1985): each
-renewal cycle is then a pure cycle of one of the two, so the cycle sums mix
-linearly and the weight that meets the budget solves one linear equation.
-The multiplier lambda* is the price at which the two thresholds tie.
+binary search.  When n_high alone undershoots the budget, the policy
+randomizes per slot between n_low = n_high - 1 and n_high (Beutler & Ross,
+J. Math. Anal. Appl. 1985): each renewal cycle is then a pure cycle of one
+of the two, so the cycle sums mix linearly and the weight that meets the
+budget solves one linear equation.  lambda*, the price at which the two
+tie, is certified from the same sums: neither neighbour is cheaper there.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ REGIME_PURE_THRESHOLD = "pure-threshold"
 REGIME_MIXED = "mixed"
 
 _MONOTONE_SLACK = 1e-12
-_CERTIFICATE_STEP = 1e-7  # relative price offset on each side of lambda*
 _BUDGET_TOL = 1e-9  # largest |predicted rate - R| a mixed solution may carry
 
 
@@ -104,8 +103,9 @@ def solve_cmdp(
     that pass them positionally: no multiplier is searched for, and
     cfg.epsilon is the one sigma cutoff.
 
-    The solution is certified: in the mixed regime the price-optimal
-    threshold just below and just above lambda* must be n_low and n_high,
+    The solution is certified: in the mixed regime lambda* must lie strictly
+    between the tie prices of (n_low - 1, n_low), -inf when n_low = 1, and
+    (n_high, n_high + 1), so both thresholds are Lagrange optimal at lambda*;
     and the mixture's rate must meet R to within 1e-9.
     diagnostics["lambda_trace"] holds one (lambda, n0, rate) entry per
     threshold evaluated, lambda being the price at which n0 ties with n0 - 1
@@ -175,18 +175,16 @@ def solve_cmdp(
 
     # the rate falls strictly in n0, so feasibility is monotone
     n_high = least_true(feasible, n_zero)
-    _check_trace(trace)
-
     n_low = n_high - 1
     lambda_star = _tie_price(cycle(n_low), cycle(n_high))
-    for lam, expected in ((lambda_star * (1.0 - _CERTIFICATE_STEP), n_low),
-                          (lambda_star * (1.0 + _CERTIFICATE_STEP), n_high)):
-        n0 = optimal_threshold(lam, source, channel, penalty, cfg)
-        if n0 != expected:
-            raise SolverError(
-                f"certificate failed: the optimal threshold at lambda={lam!r} is {n0}, "
-                f"expected {expected} around lambda*={lambda_star!r}"
-            )
+    below = _tie_price(cycle(n_low - 1), cycle(n_low)) if n_low > 1 else -float("inf")
+    above = _tie_price(cycle(n_high), cycle(n_high + 1))
+    if not below < lambda_star < above:
+        raise SolverError(
+            f"certificate failed: lambda*={lambda_star!r} of {n_low} and {n_high} is not strictly between "
+            f"the tie prices {below!r} of {n_low - 1} and {n_low} and {above!r} of {n_high} and {n_high + 1}"
+        )
+    _check_trace(trace)
     # budget excess e = T - R L of each threshold; the mixture's is linear in rho
     excess_low = cycle(n_low)[1] - R * cycle(n_low)[0]
     excess_high = cycle(n_high)[1] - R * cycle(n_high)[0]

@@ -41,6 +41,7 @@ from math import ceil, sqrt
 import numpy as np
 
 from .marks import periodic_blocks
+from .model import gamma_arrays
 from .segments import RampCost, Segments, batch_starts
 
 _SLOTS = 4096  # most slots per period-1 dwell-decode draw
@@ -146,9 +147,9 @@ class _Bursts:
 
     def _grow(self, n: int) -> None:
         alpha, mu = self._source.alpha, self._source.mu
+        keep, _ = gamma_arrays(self._source, self._channel, n)  # gamma1(r), range-checked
         q = self._channel.error_probability(np.arange(n))
         p = 1.0 - q
-        keep = alpha * q  # gamma1(r), from the exact q
         c1 = alpha * p
         c2 = c1 + mu * q
         c3 = c2 + (1.0 - alpha) * p

@@ -469,3 +469,22 @@ def test_periodic_baseline_dominated_exactly():
                 source.alpha, source.mu, channel.success_probability(0), math.ceil(1.0 / budget)
             )
             assert sol.predicted_aoii <= periodic, (name, budget, sol.predicted_aoii, periodic)
+
+
+def test_threshold_search_brackets_the_mixed_pair():
+    # the value-function search agrees with the cycle sums' tie prices:
+    # just below lambda* the price-optimal threshold is n_low, just above
+    # it n_high
+    checked = 0
+    for name, (alpha, n_states, p_e, c, r_max) in FIGURE_CONFIGS.items():
+        source = SourceModel.from_states(alpha, n_states)
+        channel = _channel(p_e, c, r_max)
+        for budget in (0.05, 0.2, 0.5):
+            sol = solve_cmdp(budget, source, channel, PEN)
+            if sol.regime != REGIME_MIXED:
+                continue
+            lam = sol.lambda_star
+            assert optimal_threshold(lam * (1.0 - 1e-7), source, channel, PEN) == sol.n_low, (name, budget)
+            assert optimal_threshold(lam * (1.0 + 1e-7), source, channel, PEN) == sol.n_high, (name, budget)
+            checked += 1
+    assert checked == 17  # fig8 at R = 0.5 is pure

@@ -123,16 +123,36 @@ class TestSolveCmdp:
         length, _, cost = (sol.rho_high * h + (1.0 - sol.rho_high) * l for h, l in zip(high, low))
         assert sol.predicted_aoii == pytest.approx(cost / length, rel=1e-14)
 
-    def test_broken_certificate_raises(self, monkeypatch, paper_source, paper_channel, linear_penalty):
-        # a threshold oracle that disagrees with the cycle sums at lambda* > 0
-        real = optimizer.optimal_threshold
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_broken_certificate_raises(self, monkeypatch, paper_source, paper_channel, linear_penalty, side):
+        # halving the cost of n_low - 1 (or n_high + 1) makes it cheaper than
+        # the mixed pair at lambda*, so its tie with that pair falls on the
+        # wrong side of lambda*; lambda* itself reads neither's cost
+        sol = solve_cmdp(0.2, paper_source, paper_channel, linear_penalty)
+        assert sol.regime == REGIME_MIXED and sol.n_low > 1
+        neighbour = sol.n_low - 1 if side == "below" else sol.n_high + 1
+        real = optimizer.cycle_sums
 
-        def shifted(lam, *args, **kwargs):
-            return real(lam, *args, **kwargs) + (1 if lam > 0.0 else 0)
+        def cheaper(n0, *args, **kwargs):
+            length, transmissions, cost = real(n0, *args, **kwargs)
+            return length, transmissions, cost * (0.5 if n0 == neighbour else 1.0)
 
-        monkeypatch.setattr(optimizer, "optimal_threshold", shifted)
+        monkeypatch.setattr(optimizer, "cycle_sums", cheaper)
         with pytest.raises(SolverError, match="certificate"):
             solve_cmdp(0.2, paper_source, paper_channel, linear_penalty)
+
+    def test_searches_thresholds_once(self, monkeypatch, paper_source, paper_channel, linear_penalty):
+        # the mixed solve searches once, at lambda = 0; its certificate reads
+        # the tie prices of the cycle sums it already has
+        real, prices = optimizer.optimal_threshold, []
+
+        def counted(lam, *args, **kwargs):
+            prices.append(lam)
+            return real(lam, *args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "optimal_threshold", counted)
+        assert solve_cmdp(0.2, paper_source, paper_channel, linear_penalty).regime == REGIME_MIXED
+        assert prices == [0.0]
 
     @pytest.mark.parametrize("budget, regime", [(0.2, REGIME_MIXED), (1.0, REGIME_PURE_THRESHOLD)])
     def test_one_fold_serves_the_search(self, paper_source, paper_channel, linear_penalty, budget, regime):
@@ -187,19 +207,33 @@ class TestEdgeSolves:
         assert sol.regime == REGIME_MIXED and abs(sol.predicted_rate - 0.2) <= 1e-9
 
     @pytest.mark.parametrize("budget", [0.2, 0.5])
-    @pytest.mark.parametrize("source, channel", [
-        (SourceModel(alpha=0.5, mu=0.5 - 1e-6), ChannelModel(p_e=0.5, c=0.5, r_max=2)),
-        (SourceModel.from_states(0.5, 16), ChannelModel(p_e=1.0 - 1e-9, c=1.0)),
+    @pytest.mark.parametrize("source, channel, k", [
+        (SourceModel(alpha=0.5, mu=0.5 - 1e-6), ChannelModel(p_e=0.5, c=0.5, r_max=2), 3),
+        (SourceModel.from_states(0.5, 16), ChannelModel(p_e=1.0 - 1e-9, c=1.0), 1),
     ], ids=["mu=alpha-1e-6", "p_e=1-1e-9"])
-    def test_solves_or_raises(self, linear_penalty, source, channel, budget):
+    def test_solves_to_the_exact_answer(self, linear_penalty, source, channel, k, budget):
+        # lambda* is tiny here (2.9e-7 to 3.5e-6) and the float one is off from
+        # the exact one by up to 6.9e-7 relative; the exact tie prices still
+        # bracket it, and rho and the AoII match the rational solve
         start = time.perf_counter()
-        try:
-            sol = solve_cmdp(budget, source, channel, linear_penalty)
-        except SolverError:
-            pass
-        else:
-            assert sol.predicted_rate <= budget + 1e-9
+        sol = solve_cmdp(budget, source, channel, linear_penalty)
         assert time.perf_counter() - start < 2.0
+        assert sol.regime == REGIME_MIXED
+        alpha, mu = source.alpha, source.mu
+        p = oracles.make_p(channel.p_e, channel.c, channel.r_max)
+        sums = oracles.fraction_burst_sums(alpha, mu, p, k)
+
+        def tie(n0):  # exact price at which n0 ties with n0 + 1
+            low, high = (oracles.fraction_cycle_sums(alpha, mu, sums, n) for n in (n0, n0 + 1))
+            return optimizer._tie_price(low, high)
+
+        exact_star = tie(sol.n_low)
+        below = tie(sol.n_low - 1) if sol.n_low > 1 else -math.inf
+        assert below < exact_star < tie(sol.n_high)
+        rho, aoii = oracles.fraction_mixed_solution(alpha, mu, p, k, budget, sol.n_low)
+        assert abs(sol.rho_high - float(rho)) <= 1e-12
+        assert abs(sol.predicted_aoii - float(aoii)) <= 1e-12 * float(aoii)
+        assert abs(sol.lambda_star - float(exact_star)) <= 1e-6 * float(exact_star)
 
     @pytest.mark.parametrize("exponent", [*range(25, 41), 80])
     def test_power_penalty_near_the_boundedness_edge(self, paper_source, paper_channel, exponent):

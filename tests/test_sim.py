@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from aoii_harq import (
     ChannelModel,
+    DegenerateKernelError,
     FixedThreshold,
     MixedThreshold,
     NeverTransmit,
@@ -428,6 +429,18 @@ class TestSimulate:
         survival = _Bursts(source, channel)._survival[::-1]
         q = channel.error_probability(np.arange(survival.size))
         assert np.array_equal(survival, np.cumprod(source.alpha * q))
+
+    def test_degenerate_kernel_raises(self, linear_penalty):
+        # 1 - alpha - mu*q rounds to 1.0, so a burst would almost never reset
+        # and the draw would grow until memory ran out; the sampler reads
+        # the range-checked gamma_arrays instead.  _Bursts is checked first,
+        # so a regression fails here rather than in an unbounded draw
+        source, channel = SourceModel(1e-17, 1e-18), ChannelModel(p_e=0.5, c=0.5)
+        with pytest.raises(DegenerateKernelError, match="r=0"):
+            _Bursts(source, channel)
+        for policy in (NeverTransmit(), FixedThreshold(1), MixedThreshold(1, 0.5), Periodic(1.0)):
+            with pytest.raises(DegenerateKernelError):
+                simulate(policy, source, channel, linear_penalty, 1000, seed=0)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
