@@ -21,8 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ThresholdSearchError, TruncationError
-from .model import gamma_arrays, settled_sum
+from .errors import DivergenceError, ThresholdSearchError, TruncationError
+from .model import gamma_arrays, settling_term
 
 # Strict-inequality tie break for the threshold condition: margins this close
 # to zero count as "not yet optimal" so floating-point noise cannot flip the
@@ -32,6 +32,7 @@ _TIE_TOL = 1e-12
 N0_CEILING = 100_000  # largest threshold a search may return
 _FOLD_CEILING = 1 << 20  # most burst counts a fold may examine
 _WALK_BLOCK = 64  # fewest terms a weighted cut walks between two tests
+_SERIES_BLOCK = 8192  # terms the waiting cost sums at a time
 
 
 @dataclass(frozen=True)
@@ -365,11 +366,23 @@ def g_wait(source, penalty, cfg: SeriesConfig = SeriesConfig()) -> float:
         g = m * (f(0) + (1-a) * sum_{i>=0} (1-m)^i f(i+1)) / (m + 1 - a)
 
     For the linear penalty the series is 1/m^2, giving
-    g = (1-a) / (m * (m + 1 - a)).  Other penalties are summed numerically to
-    weighted_epsilon stabilization.
+    g = (1-a) / (m * (m + 1 - a)).  Other penalties sum the series up to the
+    term ``settling_term`` finds with weighted_epsilon and l_cap, in blocks of
+    _SERIES_BLOCK terms; DivergenceError is raised when no term settles, or
+    when the sum is not finite.
     """
     alpha, mu = source.alpha, source.mu
     if getattr(penalty, "kind", None) == "linear":
         return (1.0 - alpha) / (mu * (mu + 1.0 - alpha))
-    total = settled_sum(penalty, 1.0 - mu, 0, cfg.weighted_epsilon, cfg.l_cap)
+    q = 1.0 - mu
+    last = settling_term(penalty, q, 0, cfg.weighted_epsilon, cfg.l_cap)
+    if last is None:
+        raise DivergenceError(f"the waiting series, q = {q!r}, does not settle by l_cap={cfg.l_cap}")
+    total = 0.0
+    with np.errstate(over="ignore"):
+        for i in range(0, last + 1, _SERIES_BLOCK):
+            idx = np.arange(i, min(i + _SERIES_BLOCK, last + 1), dtype=float)
+            total += float((penalty.evaluate(idx + 1.0) * np.power(q, idx)).sum())
+    if not np.isfinite(total):
+        raise DivergenceError(f"the waiting series, q = {q!r}, has a sum that is not finite")
     return mu * (penalty(0) + (1.0 - alpha) * total) / (mu + 1.0 - alpha)

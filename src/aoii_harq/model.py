@@ -16,8 +16,8 @@ these coefficients; the per-state view of the kernel is a test oracle.
 The problem is well posed when always transmitting has a finite average
 AoII, sum_l f(l+1) q^l < inf with q = gamma1(0) + gamma2(0).
 ``validate_boundedness`` certifies this from where the terms settle, at a
-few dozen ages, without summing them; ``settled_sum``, which the waiting
-cost still uses, sums a series up to its settling term.
+few dozen ages, without summing them; ``settling_term`` finds that term,
+for the certificate and for the waiting cost's series alike.
 """
 
 from __future__ import annotations
@@ -26,14 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateKernelError, DivergenceError
+from .errors import DegenerateKernelError
 
 _EQ_TOL = 1e-12
-_SERIES_BLOCK = 8192
 BOUNDEDNESS_TOL = 1e-10  # a certified series' settling term lies below this
 BOUNDEDNESS_L_CAP = 1_000_000  # a series not settled by this term is refused
-# term indices at which validate_boundedness tests the settle rule past a
-# table's head: geometric from 1 to BOUNDEDNESS_L_CAP, 39 distinct
+# term indices at which settling_term tests the settle rule past a table's
+# head: geometric from 1 to BOUNDEDNESS_L_CAP, 39 distinct
 _PROBES = np.array(sorted({round(BOUNDEDNESS_L_CAP ** (k / 39)) for k in range(40)}), dtype=float)
 
 
@@ -230,88 +229,77 @@ def gamma_arrays(source: SourceModel, channel, n: int) -> tuple[np.ndarray, np.n
         r = int(bad[0])
         raise DegenerateKernelError(
             f"gamma coefficients at r={r} must be nonnegative and sum below 1, "
-            f"got gamma1={g1[r]!r}, gamma2={g2[r]!r}"
+            f"got gamma1={float(g1[r])!r}, gamma2={float(g2[r])!r}"
         )
     return g1, g2
 
 
-def settled_sum(penalty, q: float, start: int, tol: float, l_cap: int) -> float:
-    """sum_{i >= start} f(i+1) q^i, up to and including the first term that is
-    0, or below ``tol`` and below the term before it.
+def settling_term(penalty, q: float, start: int, tol: float, l_cap: int) -> int | None:
+    """Index l <= ``l_cap`` of a term of t_l = f(l+1) q^l, l >= ``start``, that
+    settles: is 0, or is below ``tol`` and below t_{l-1} (t_{start-1}
+    counting as infinite).  None when no term settles by ``l_cap``.
 
-    Terms are summed in blocks of 8192, evaluated with numpy's overflow
-    warnings off.  Raises DivergenceError when a term up to the settling one
-    or the partial sum is not finite (an f that overflows), or when no term
-    settles by i = ``l_cap``.  A finite term, however large, is summed.
+    Nothing is summed.  Past a table penalty's head of len(table) terms,
+    every penalty the package accepts (linear, power, a table's linear tail)
+    has log-concave terms, so once a term settles every later one does.  The
+    rule therefore evaluates, in one ``penalty.evaluate`` call, the head, the
+    geometric _PROBES below ``l_cap`` and ``l_cap`` itself, each term with its
+    predecessor.  It returns the first probe that settles, from which on
+    every term is settled and falling, or, when no probe does, the first head
+    term that settles, which promises nothing of the terms after it (a table
+    may jump).  A term that is not finite (an f that overflows) never
+    settles, and a finite term, however large, is no refusal.  When none
+    settles and some term is not finite, the finite terms end between two
+    tested ones: the last finite term is found by bisecting the integers
+    between them and tested with its predecessor, so a steep power whose
+    terms settle shortly before f overflows settles, and one whose terms
+    overflow before they settle does not.  f is evaluated with numpy's
+    overflow warnings off.
     """
-    total = 0.0
-    prev = np.inf
-    for i in range(start, l_cap + 1, _SERIES_BLOCK):
-        idx = np.arange(i, min(i + _SERIES_BLOCK, l_cap + 1), dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = penalty.evaluate(idx + 1.0) * np.power(q, idx)
-            before = np.concatenate(([prev], terms[:-1]))
-            settled = np.flatnonzero((terms == 0.0) | ((terms < tol) & (terms < before)))
-            used = terms[: settled[0] + 1] if settled.size else terms
-            total += float(used.sum())
-        if not (np.all(np.isfinite(used)) and np.isfinite(total)):
-            raise DivergenceError(f"the series of f(i+1) q^i, q = {q!r}, has a term or sum that is not finite")
-        if settled.size:
-            return total
-        prev = terms[-1]
-    raise DivergenceError(
-        f"the series of f(i+1) q^i, q = {q!r}, did not settle within l_cap={l_cap} terms"
-    )
+
+    def terms(ls):  # ls: float ages
+        return penalty.evaluate(ls + 1.0) * np.power(q, ls)
+
+    def settles(t, before):
+        return (t == 0.0) | ((t < tol) & (t < before))
+
+    head_end = min(max(start + 1, len(getattr(penalty, "table", ())) + 1), l_cap)
+    probes = _PROBES[np.searchsorted(_PROBES, head_end) : np.searchsorted(_PROBES, l_cap)]
+    tested = np.concatenate((np.arange(start, head_end, dtype=float), probes, [l_cap]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        both = terms(np.concatenate((tested, tested - 1.0)))
+        t, before = both[: tested.size], both[tested.size :]
+        before[0] = np.inf  # tested[0] is l = start
+        hits = np.flatnonzero(settles(t, before))
+        if hits.size:
+            past = hits[hits >= head_end - start]
+            return int(tested[past[0] if past.size else hits[0]])
+        # f only grows, so the terms are finite up to some l and not after it:
+        # k is the first tested term that is not finite, or 0 when all are
+        k = int(np.argmin(np.isfinite(t)))
+        if k == 0:
+            return None
+        lo, hi = int(tested[k - 1]), int(tested[k])
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if np.isfinite(terms(float(mid))):
+                lo = mid
+            else:
+                hi = mid
+        last, prev = terms(np.array([lo, lo - 1.0]))
+    return lo if settles(last, prev) else None
 
 
 def validate_boundedness(source, channel, penalty) -> bool:
     """Numerically certify sum_{l>=1} f(l+1) * (gamma1(0)+gamma2(0))**l < inf.
 
-    The series is certified when its terms t_l = f(l+1) q**l settle by
-    l = BOUNDEDNESS_L_CAP: some t_l is 0, or is below BOUNDEDNESS_TOL and
-    below t_{l-1} (t_0 counting as infinite).  Nothing is summed.  Past a
-    table penalty's head of len(table) terms, every penalty the package
-    accepts (linear, power, a table's linear tail) has log-concave terms, so
-    once a term settles every later one does.  The rule therefore evaluates,
-    in one ``penalty.evaluate`` call, the head and a fixed geometric set of
-    probes ending at BOUNDEDNESS_L_CAP, each term with its predecessor, and
-    accepts when any of these terms settles.  A term that is not finite (an
-    f that overflows) never settles, and a finite term, however large, is no
-    refusal.  When no probe settles and some probe term is not finite, the
-    finite terms end between two probes: the last finite term is found by
-    bisecting the integers between them and tested with its predecessor, so
-    a steep power whose terms settle shortly before f overflows is accepted,
-    and one whose terms overflow before they settle is refused.
-
-    Returns False, which callers must treat as "refuse to solve", when no
-    term settles.  Raises DegenerateKernelError when gamma1(0) or gamma2(0)
-    is out of range, so the ratio q below is always under 1.  The solver's
-    series controls play no part.
+    The series is certified when one of its terms settles by
+    l = BOUNDEDNESS_L_CAP, as ``settling_term`` finds from l = 1 with
+    BOUNDEDNESS_TOL.  Returns False, which callers must treat as "refuse to
+    solve", when no term settles.  Raises DegenerateKernelError when
+    gamma1(0) or gamma2(0) is out of range, so the ratio q below is always
+    under 1.  The solver's series controls play no part.
     """
     pair = gamma(source, channel, 0)
     q = pair.gamma1 + pair.gamma2
-
-    def terms(ls):
-        ls = np.asarray(ls, dtype=float)
-        return penalty.evaluate(ls + 1.0) * np.power(q, ls)
-
-    tested = np.concatenate((np.arange(1.0, len(getattr(penalty, "table", ())) + 1.0), _PROBES))
-    with np.errstate(over="ignore", invalid="ignore"):
-        t, before = np.split(terms(np.concatenate((tested, tested - 1.0))), 2)
-        before[0] = np.inf  # tested[0] is l = 1, whose predecessor counts as infinite
-        if np.any((t == 0.0) | ((t < BOUNDEDNESS_TOL) & (t < before))):
-            return True
-        # f only grows, so the terms are finite up to some l and not after it
-        finite = np.isfinite(t[-_PROBES.size :])
-        if finite.all() or not finite[0]:
-            return False
-        k = int(np.argmin(finite))
-        lo, hi = int(_PROBES[k - 1]), int(_PROBES[k])
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if np.isfinite(terms(mid)):
-                lo = mid
-            else:
-                hi = mid
-        last, prev = terms([lo, lo - 1])
-        return bool(last == 0.0 or (last < BOUNDEDNESS_TOL and last < prev))
+    return settling_term(penalty, q, 1, BOUNDEDNESS_TOL, BOUNDEDNESS_L_CAP) is not None

@@ -436,16 +436,16 @@ def periodic_finite_law(alpha, mu, p0, period, horizon):
     return z_sum / horizon, e_sum / horizon
 
 
-def boundedness_by_sum(q, f, tol, l_cap):
-    """Sum t_l = f(l+1) q^l from l = 1 in blocks of 8192 up to and including
-    the first term that is 0, or below ``tol`` and below the term before it
-    (t_0 counting as infinite).  True when a term settles by l = ``l_cap``
-    with a finite partial sum; False when no term settles, or a term before
-    the settling one is not finite.  Large finite terms are summed.  ``f``
-    maps an array of ages to penalties."""
+def boundedness_by_sum(q, f, tol, l_cap, start=1):
+    """Sum t_l = f(l+1) q^l from l = ``start`` in blocks of 8192 up to and
+    including the first term that is 0, or below ``tol`` and below the term
+    before it (t_{start-1} counting as infinite).  True when a term settles
+    by l = ``l_cap`` with a finite partial sum; False when no term settles,
+    or a term before the settling one is not finite.  Large finite terms are
+    summed.  ``f`` maps an array of ages to penalties."""
     total, prev = 0.0, inf
-    for start in range(1, l_cap + 1, 8192):
-        idx = np.arange(start, min(start + 8192, l_cap + 1), dtype=float)
+    for i in range(start, l_cap + 1, 8192):
+        idx = np.arange(i, min(i + 8192, l_cap + 1), dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             terms = np.asarray(f(idx + 1.0), dtype=float) * q**idx
             before = np.append(prev, terms[:-1])

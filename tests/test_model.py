@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,15 +8,18 @@ import oracles
 from aoii_harq import (
     ChannelModel,
     DegenerateKernelError,
+    DivergenceError,
     GammaPair,
     PenaltySpec,
+    SeriesConfig,
     SolverError,
     SourceModel,
+    g_wait,
     gamma,
     gamma_arrays,
     validate_boundedness,
 )
-from aoii_harq.model import BOUNDEDNESS_L_CAP, BOUNDEDNESS_TOL, settled_sum
+from aoii_harq.model import BOUNDEDNESS_L_CAP, BOUNDEDNESS_TOL, settling_term
 from oracles import TRANSMIT, WAIT, State
 
 
@@ -231,6 +235,14 @@ class TestGammaArrays:
         with pytest.raises(DegenerateKernelError):
             validate_boundedness(source, channel, linear_penalty)
 
+    def test_message_prints_bare_numbers(self):
+        # numpy 2 would print a numpy scalar's repr as np.float64(5e-18)
+        with pytest.raises(DegenerateKernelError) as caught:
+            gamma_arrays(SourceModel(alpha=1e-17, mu=1e-18), ChannelModel(p_e=0.5, c=0.5), 4)
+        assert str(caught.value) == (
+            "gamma coefficients at r=0 must be nonnegative and sum below 1, got gamma1=5e-18, gamma2=1.0"
+        )
+
 
 class TestTransitionDist:
     def test_wait_from_zero(self):
@@ -387,9 +399,54 @@ class TestBoundednessRule:
         assert 0 < penalty.ages < 200
 
 
-class TestSettledSum:
+class TestWaitingSeries:
+    """g_wait sums f(i+1) (1-mu)^i up to the term settling_term finds."""
+
     def test_overflowing_penalty_is_a_divergence(self):
-        # d**200 overflows from d = 35, before the terms at q = 0.9 settle;
-        # the suite's RuntimeWarning filter turns a numpy warning into a failure
-        with pytest.raises(SolverError, match="not finite"):
-            settled_sum(PenaltySpec.power(200), 0.9, 0, 1e-10, 1_000_000)
+        # d**200 overflows from d = 35, before the terms at 1 - mu = 0.9 settle
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DivergenceError, match="does not settle"):
+                g_wait(SourceModel(alpha=0.5, mu=0.1), PenaltySpec.power(200))
+
+    def test_unsettled_by_l_cap_is_a_divergence(self):
+        # (i+1)**2 0.9**i first falls below 1e-10 at i = 329
+        source, penalty = SourceModel(alpha=0.5, mu=0.1), PenaltySpec.power(2)
+        assert np.isfinite(g_wait(source, penalty, SeriesConfig(l_cap=400)))
+        with pytest.raises(DivergenceError, match="l_cap=200"):
+            g_wait(source, penalty, SeriesConfig(l_cap=200))
+
+    def test_an_overflowing_sum_is_a_divergence(self):
+        # the terms are finite and settle near i = 7.3e5, but start near 1e308
+        with pytest.raises(DivergenceError, match="not finite"):
+            g_wait(SourceModel(alpha=0.5, mu=1e-3), PenaltySpec.from_table([1e308, 1.0000001e308]))
+
+    def test_a_settled_head_term_does_not_end_the_sum(self):
+        # i = 0 settles, as f(1) = 1e-30, but the table jumps to f(2) = 1e6
+        source, penalty = SourceModel(alpha=0.5, mu=0.1), PenaltySpec.from_table([0, 1e-30, 1e6])
+        i = np.arange(3000.0)
+        direct = float(penalty.evaluate(i + 1.0) @ 0.9**i)
+        assert g_wait(source, penalty) == pytest.approx(0.1 * 0.5 * direct / 0.6, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha, mu", [(0.5, 0.5), (0.3, 0.2), (0.01, 0.3)])
+    @pytest.mark.parametrize("penalty", [PenaltySpec.power(1.0), PenaltySpec.from_table(range(80))],
+                             ids=["power1", "table"])
+    def test_linear_shaped_penalties_match_the_closed_form(self, alpha, mu, penalty):
+        # the sum stops at a settled probe: at 1 - mu = 0.8 that is i = 143,
+        # and the terms past it carry 3.3e-13 of the total
+        source = SourceModel(alpha=alpha, mu=mu)
+        assert g_wait(source, penalty) == pytest.approx(g_wait(source, PenaltySpec.linear()), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("source, channel", _boundedness_grid())
+    def test_settling_term_agrees_with_the_summing_oracle(self, source, channel):
+        cfg = SeriesConfig()
+        q = 1.0 - source.mu
+        for penalty in _PENALTIES:
+            found = settling_term(penalty, q, 0, cfg.weighted_epsilon, cfg.l_cap)
+            summed = oracles.boundedness_by_sum(q, penalty.evaluate, cfg.weighted_epsilon, cfg.l_cap, start=0)
+            assert (found is not None) == summed, penalty
+            if found is not None:
+                # the index found is a term that settles
+                with np.errstate(over="ignore", invalid="ignore"):
+                    t, before = penalty.evaluate([found + 1.0, found]) * q ** np.array([found, found - 1.0])
+                assert t == 0.0 or (t < cfg.weighted_epsilon and (found == 0 or t < before)), penalty
