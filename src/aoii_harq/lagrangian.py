@@ -303,12 +303,34 @@ def value_at(
     return head + omm**k * v_n0
 
 
+def step_cost(
+    n0: int,
+    source,
+    channel,
+    penalty,
+    cfg: SeriesConfig = SeriesConfig(),
+) -> float:
+    """D = f(n0) + (1-mu) W(n0+1) - W(n0), with W(d) = sum_l f(d+l) sigma_l.
+
+    Moving the threshold from n0 to n0 + 1 changes the cycle sums (L, T, C)
+    by exactly P (1 - mu S, -mu S, D), with P = (1-mu)^(n0-1) and
+    S = sum_l sigma_l: one more waiting slot, at penalty f(n0), before the
+    burst starts one age later.  D is the one comparison of n0 with n0 + 1
+    that both the threshold search and the solve's tie prices read.
+    """
+    series = burst_chain(source, channel)
+    _, w_lo = series.sums_for(n0, penalty, cfg)
+    _, w_hi = series.sums_for(n0 + 1, penalty, cfg)
+    return penalty(n0) + (1.0 - source.mu) * w_hi - w_lo
+
+
 def _threshold_margin(n0, lam, source, channel, penalty, cfg) -> float:
-    """LHS of the optimality condition: positive once n0 is large enough."""
+    """LHS of the optimality condition, (1-mu) V(n0+1) - V(n0) + f(n0) - g,
+    written with D: D - lam mu S - (1 - mu S) g.  Positive once n0 is large
+    enough."""
     g = g_for_threshold(n0, lam, source, channel, penalty, cfg)
-    v_lo = value_at(n0, n0, lam, g, source, channel, penalty, cfg)
-    v_hi = value_at(n0 + 1, n0, lam, g, source, channel, penalty, cfg)
-    return (1.0 - source.mu) * v_hi - v_lo + penalty(n0) - g
+    mu_s = source.mu * burst_chain(source, channel).total
+    return step_cost(n0, source, channel, penalty, cfg) - lam * mu_s - (1.0 - mu_s) * g
 
 
 def least_true(fires, start: int) -> int:
@@ -366,23 +388,34 @@ def g_wait(source, penalty, cfg: SeriesConfig = SeriesConfig()) -> float:
         g = m * (f(0) + (1-a) * sum_{i>=0} (1-m)^i f(i+1)) / (m + 1 - a)
 
     For the linear penalty the series is 1/m^2, giving
-    g = (1-a) / (m * (m + 1 - a)).  Other penalties sum the series up to the
-    term ``settling_term`` finds with weighted_epsilon and l_cap, in blocks of
-    _SERIES_BLOCK terms; DivergenceError is raised when no term settles, or
-    when the sum is not finite.
+    g = (1-a) / (m * (m + 1 - a)).  A table penalty's series is exact too:
+    its head f(1) .. f(k-1), for k = len(table) - 1, then the linear tail
+    f(k + j) = a + b j, a = table[-1] and b the last difference, which sums
+    to (1-m)^(k-1) (a/m + b (1-m)/m^2).  Power penalties sum the series up to
+    the term ``settling_term`` finds with weighted_epsilon and l_cap, in
+    blocks of _SERIES_BLOCK terms; DivergenceError is raised when no term
+    settles, or when the sum is not finite.
     """
     alpha, mu = source.alpha, source.mu
-    if getattr(penalty, "kind", None) == "linear":
+    kind = getattr(penalty, "kind", None)
+    if kind == "linear":
         return (1.0 - alpha) / (mu * (mu + 1.0 - alpha))
     q = 1.0 - mu
-    last = settling_term(penalty, q, 0, cfg.weighted_epsilon, cfg.l_cap)
-    if last is None:
-        raise DivergenceError(f"the waiting series, q = {q!r}, does not settle by l_cap={cfg.l_cap}")
-    total = 0.0
-    with np.errstate(over="ignore"):
-        for i in range(0, last + 1, _SERIES_BLOCK):
-            idx = np.arange(i, min(i + _SERIES_BLOCK, last + 1), dtype=float)
-            total += float((penalty.evaluate(idx + 1.0) * np.power(q, idx)).sum())
+    if kind == "table":
+        vals = np.asarray(penalty.table, dtype=float)
+        k = vals.size - 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            head = float(vals[1:k] @ np.power(q, np.arange(k - 1, dtype=float)))
+            total = head + q ** (k - 1) * (vals[k] / mu + (vals[k] - vals[k - 1]) * q / mu**2)
+    else:
+        last = settling_term(penalty, q, 0, cfg.weighted_epsilon, cfg.l_cap)
+        if last is None:
+            raise DivergenceError(f"the waiting series, q = {q!r}, does not settle by l_cap={cfg.l_cap}")
+        total = 0.0
+        with np.errstate(over="ignore"):
+            for i in range(0, last + 1, _SERIES_BLOCK):
+                idx = np.arange(i, min(i + _SERIES_BLOCK, last + 1), dtype=float)
+                total += float((penalty.evaluate(idx + 1.0) * np.power(q, idx)).sum())
     if not np.isfinite(total):
         raise DivergenceError(f"the waiting series, q = {q!r}, has a sum that is not finite")
     return mu * (penalty(0) + (1.0 - alpha) * total) / (mu + 1.0 - alpha)

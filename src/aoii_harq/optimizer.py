@@ -21,7 +21,7 @@ from typing import Optional
 import scipy  # noqa: F401  (benchmark workers report the loaded scipy version)
 
 from .errors import BoundednessError, SolverError
-from .lagrangian import SeriesConfig, cycle_sums, g_wait, least_true, optimal_threshold
+from .lagrangian import SeriesConfig, burst_chain, cycle_sums, g_wait, least_true, optimal_threshold, step_cost
 from .model import validate_boundedness
 from .rate import achieved_rate, mixed_chain_analysis
 from .sim import FixedThreshold, MixedThreshold, NeverTransmit
@@ -77,13 +77,6 @@ def _check_trace(trace) -> None:
             )
 
 
-def _tie_price(low, high) -> float:
-    """Price at which two thresholds with cycle sums (L, T, C) cost the same:
-    (C_h + lam T_h)/L_h = (C_l + lam T_l)/L_l."""
-    (len_l, tx_l, cost_l), (len_h, tx_h, cost_h) = low, high
-    return (cost_h * len_l - cost_l * len_h) / (tx_l * len_h - tx_h * len_l)
-
-
 def solve_cmdp(
     R: float,
     source,
@@ -108,8 +101,14 @@ def solve_cmdp(
     (n_high, n_high + 1), so both thresholds are Lagrange optimal at lambda*;
     and the mixture's rate must meet R to within 1e-9.
     diagnostics["lambda_trace"] holds one (lambda, n0, rate) entry per
-    threshold evaluated, lambda being the price at which n0 ties with n0 - 1
+    threshold evaluated, lambda being the price at which n0 ties with n0 + 1
     (0 for the unconstrained threshold).
+
+    Thresholds n0 and n0 + 1 tie at the price
+    (D L - (1 - mu S) C) / (mu S L + (1 - mu S) T), read from n0's cycle sums
+    and ``step_cost`` D, whose exact differences need no cancelling
+    subtraction of two thresholds' sums; the denominator is positive since
+    L > T.
     """
     if not 0.0 < R <= 1.0:
         raise ValueError(f"rate budget must lie in (0, 1], got {R}")
@@ -137,15 +136,17 @@ def solve_cmdp(
             diagnostics={"lambda_trace": (), "lambda_iterations": 0},
         )
 
-    sums: dict[int, tuple[float, float, float]] = {}
+    records: dict[int, list[float]] = {}
 
-    def cycle(n0: int) -> tuple[float, float, float]:
-        if n0 not in sums:
-            sums[n0] = cycle_sums(n0, source, channel, penalty, cfg)
-        return sums[n0]
+    def record(n0: int) -> list[float]:
+        """[L, T, C] of threshold n0, then, once ``tie`` has read it, the
+        price at which n0 ties with n0 + 1."""
+        if n0 not in records:
+            records[n0] = list(cycle_sums(n0, source, channel, penalty, cfg))
+        return records[n0]
 
     def rate(n0: int) -> float:
-        length, transmissions, _ = cycle(n0)
+        length, transmissions = record(n0)[:2]
         return transmissions / length
 
     def diagnostics() -> dict:
@@ -154,7 +155,7 @@ def solve_cmdp(
     n_zero = optimal_threshold(0.0, source, channel, penalty, cfg)
     trace = [(0.0, n_zero, rate(n_zero))]
     if rate(n_zero) <= R:
-        length, _, cost = cycle(n_zero)
+        length, _, cost = record(n_zero)
         rate_zero = achieved_rate(n_zero, source, channel, cfg).rate
         return CmdpSolution(
             regime=REGIME_PURE_THRESHOLD,
@@ -169,16 +170,26 @@ def solve_cmdp(
             diagnostics=diagnostics(),
         )
 
+    mu_s = source.mu * burst_chain(source, channel).total
+
+    def tie(n0: int) -> float:
+        rec = record(n0)
+        if len(rec) == 3:
+            length, transmissions, cost = rec
+            step = step_cost(n0, source, channel, penalty, cfg)
+            rec.append((step * length - (1.0 - mu_s) * cost) / (mu_s * length + (1.0 - mu_s) * transmissions))
+        return rec[3]
+
     def feasible(n0: int) -> bool:
-        trace.append((_tie_price(cycle(n0 - 1), cycle(n0)), n0, rate(n0)))
+        trace.append((tie(n0), n0, rate(n0)))
         return rate(n0) <= R
 
     # the rate falls strictly in n0, so feasibility is monotone
     n_high = least_true(feasible, n_zero)
     n_low = n_high - 1
-    lambda_star = _tie_price(cycle(n_low), cycle(n_high))
-    below = _tie_price(cycle(n_low - 1), cycle(n_low)) if n_low > 1 else -float("inf")
-    above = _tie_price(cycle(n_high), cycle(n_high + 1))
+    lambda_star = tie(n_low)
+    below = tie(n_low - 1) if n_low > 1 else -float("inf")
+    above = tie(n_high)
     if not below < lambda_star < above:
         raise SolverError(
             f"certificate failed: lambda*={lambda_star!r} of {n_low} and {n_high} is not strictly between "
@@ -186,8 +197,8 @@ def solve_cmdp(
         )
     _check_trace(trace)
     # budget excess e = T - R L of each threshold; the mixture's is linear in rho
-    excess_low = cycle(n_low)[1] - R * cycle(n_low)[0]
-    excess_high = cycle(n_high)[1] - R * cycle(n_high)[0]
+    excess_low = record(n_low)[1] - R * record(n_low)[0]
+    excess_high = record(n_high)[1] - R * record(n_high)[0]
     rho_high = excess_low / (excess_low - excess_high)
     predicted_rate, predicted_aoii = mixed_chain_analysis(n_low, rho_high, source, channel, penalty, cfg)
     if not abs(predicted_rate - R) <= _BUDGET_TOL:

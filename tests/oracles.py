@@ -366,30 +366,47 @@ def fraction_burst_sums(alpha, mu, p, k):
 
 def fraction_cycle_sums(alpha, mu, sums, n0):
     """Exact (L, T, C) per renewal cycle of the threshold-n0 policy under the
-    linear penalty, from the exact burst sums (S, M)."""
+    linear penalty, from the exact burst sums (S, M).
+
+    The waiting head sum_{i<k} q^i (i+1), k = n0 - 1 and q = 1 - mu, is
+    taken in closed form, (1 - (k+1) q^k + k q^(k+1)) / (1 - q)^2."""
     a, m = Fraction(alpha), Fraction(mu)
     total, moment = sums
-    pref = (1 - m) ** (n0 - 1)
+    k = n0 - 1
+    pref = (1 - m) ** k
     transmissions = pref * total
     length = 1 / (1 - a) + (1 - pref) / m + transmissions
-    head = sum((1 - m) ** i * (i + 1) for i in range(n0 - 1))
+    head = (1 - (k + 1) * pref + k * pref * (1 - m)) / m**2
     cost = head + pref * (n0 * total + moment)
     return length, transmissions, cost
 
 
-def fraction_mixed_solution(alpha, mu, p, k, budget, n_low):
-    """Exact (rho_high, average AoII) of the budget-meeting mix of thresholds
-    n_low and n_low + 1 under the linear penalty: rho = e_low / (e_low -
-    e_high) with e = T - R L, and the AoII is the mixed C over the mixed L."""
-    sums = fraction_burst_sums(alpha, mu, p, k)
-    low = fraction_cycle_sums(alpha, mu, sums, n_low)
-    high = fraction_cycle_sums(alpha, mu, sums, n_low + 1)
+def tie_price(low, high):
+    """Price at which two thresholds with cycle sums (L, T, C) cost the same,
+    (C_h + lam T_h)/L_h = (C_l + lam T_l)/L_l, cross-multiplied: exact on
+    Fractions, where nothing cancels."""
+    (len_l, tx_l, cost_l), (len_h, tx_h, cost_h) = low, high
+    return (cost_h * len_l - cost_l * len_h) / (tx_l * len_h - tx_h * len_l)
+
+
+def fraction_mix(low, high, budget):
+    """Exact (rho_high, average AoII) of the budget-meeting mix of two
+    thresholds with cycle sums (L, T, C): rho = e_low / (e_low - e_high) with
+    e = T - R L, and the AoII is the mixed C over the mixed L."""
     r = Fraction(budget)
     e_low, e_high = low[1] - r * low[0], high[1] - r * high[0]
     rho = e_low / (e_low - e_high)
     length = rho * high[0] + (1 - rho) * low[0]
     cost = rho * high[2] + (1 - rho) * low[2]
     return rho, cost / length
+
+
+def fraction_mixed_solution(alpha, mu, p, k, budget, n_low):
+    """Exact (rho_high, average AoII) of the budget-meeting mix of thresholds
+    n_low and n_low + 1 under the linear penalty."""
+    sums = fraction_burst_sums(alpha, mu, p, k)
+    low, high = (fraction_cycle_sums(alpha, mu, sums, n) for n in (n_low, n_low + 1))
+    return fraction_mix(low, high, budget)
 
 
 def _periodic_resets(alpha, mu, p0, period):

@@ -391,6 +391,8 @@ class TestGoldenOutputs:
         # d**2 on the waiting source: the waiting cost sums to a settled probe
         ("wait-aoii_waiting_source_power2.txt", "wait-aoii", "tests/golden/waiting_source_power2.json", []),
         ("solve_waiting_source_power2.txt", "solve", "tests/golden/waiting_source_power2.json", []),
+        # R = 1e-13: the mixed pair is 545 and 546, where (1-mu)^n0 is 1.1e-13
+        ("solve_edge_r1e-13.txt", "solve", "tests/golden/edge_r1e-13.json", []),
     ]
 
     @pytest.mark.parametrize("golden, command, config, flags", CASES, ids=[case[0] for case in CASES])

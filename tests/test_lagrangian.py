@@ -327,6 +327,20 @@ class TestOptimalThreshold:
             if n0 >= 1:
                 assert g_star <= g_for_threshold(n0, lam, paper_source, paper_channel, linear_penalty) + 1e-12
 
+    @pytest.mark.parametrize("penalty", [PenaltySpec.linear(), PenaltySpec.power(1.5),
+                                         PenaltySpec.from_table([0, 1, 3, 4, 6])], ids=["linear", "power1.5", "table"])
+    @pytest.mark.parametrize("kwargs", CHANNELS.values(), ids=CHANNELS.keys())
+    def test_margin_matches_the_value_function_form(self, kwargs, penalty):
+        # the search's margin, D - lam mu S - (1 - mu S) g, is the value
+        # function's (1-mu) V(n0+1) - V(n0) + f(n0) - g rearranged
+        source, channel = SourceModel(alpha=0.5, mu=1 / 30), ChannelModel(**kwargs)
+        for lam in (0.0, 1.0, 5.0, 100.0):
+            for n0 in range(1, 41):
+                fast = lagrangian._threshold_margin(n0, lam, source, channel, penalty, SeriesConfig())
+                slow = threshold_margin(n0, lam, source, channel, penalty)
+                assert fast == pytest.approx(slow, rel=1e-9, abs=1e-12)
+                assert np.sign(fast) == np.sign(slow) or abs(slow) <= 1e-12
+
     def test_ceiling_reported(self, monkeypatch, paper_source, paper_channel, linear_penalty):
         monkeypatch.setattr(lagrangian, "N0_CEILING", 16)
         with pytest.raises(ThresholdSearchError):
@@ -361,6 +375,14 @@ class TestGWait:
         table = PenaltySpec.from_table(list(range(80)))
         linear = PenaltySpec.linear()
         assert g_wait(source, table) == pytest.approx(g_wait(source, linear), rel=1e-9)
+
+    def test_tiny_table_is_summed_exactly(self):
+        # every term lies below weighted_epsilon, yet the series is
+        # 1e-30 / mu^2 in full; a cut at the first settled term gave 2.64e-27
+        source = SourceModel(0.3, 1e-4)
+        exact = 1e-4 * 0.7 * 1e-30 / 1e-8 / (1e-4 + 0.7)
+        assert g_wait(source, PenaltySpec.from_table([0, 1e-30, 2e-30])) == pytest.approx(exact, rel=1e-12, abs=0)
+        assert exact == pytest.approx(9.9986e-27, rel=1e-5, abs=0)
 
     def test_power_penalty_against_direct_sum(self):
         source = SourceModel(0.4, 0.25)

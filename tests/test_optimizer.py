@@ -1,5 +1,6 @@
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -125,19 +126,28 @@ class TestSolveCmdp:
 
     @pytest.mark.parametrize("side", ["below", "above"])
     def test_broken_certificate_raises(self, monkeypatch, paper_source, paper_channel, linear_penalty, side):
-        # halving the cost of n_low - 1 (or n_high + 1) makes it cheaper than
-        # the mixed pair at lambda*, so its tie with that pair falls on the
-        # wrong side of lambda*; lambda* itself reads neither's cost
+        # below: halving the cycle cost of n_low - 1 makes it cheaper than
+        # n_low at lambda*, so their tie price rises past lambda*; above:
+        # shrinking D of n_high makes n_high + 1 cheaper than n_high at
+        # lambda*, so their tie price falls below it.  lambda* itself reads
+        # neither
         sol = solve_cmdp(0.2, paper_source, paper_channel, linear_penalty)
         assert sol.regime == REGIME_MIXED and sol.n_low > 1
-        neighbour = sol.n_low - 1 if side == "below" else sol.n_high + 1
-        real = optimizer.cycle_sums
+        if side == "below":
+            real = optimizer.cycle_sums
 
-        def cheaper(n0, *args, **kwargs):
-            length, transmissions, cost = real(n0, *args, **kwargs)
-            return length, transmissions, cost * (0.5 if n0 == neighbour else 1.0)
+            def cheaper(n0, *args, **kwargs):
+                length, transmissions, cost = real(n0, *args, **kwargs)
+                return length, transmissions, cost * (0.5 if n0 == sol.n_low - 1 else 1.0)
 
-        monkeypatch.setattr(optimizer, "cycle_sums", cheaper)
+            monkeypatch.setattr(optimizer, "cycle_sums", cheaper)
+        else:
+            real = optimizer.step_cost
+
+            def cheaper(n0, *args, **kwargs):
+                return real(n0, *args, **kwargs) * (0.5 if n0 == sol.n_high else 1.0)
+
+            monkeypatch.setattr(optimizer, "step_cost", cheaper)
         with pytest.raises(SolverError, match="certificate"):
             solve_cmdp(0.2, paper_source, paper_channel, linear_penalty)
 
@@ -196,6 +206,33 @@ class TestSolveCmdp:
                 solve_cmdp(bad, paper_source, paper_channel, linear_penalty)
 
 
+def exact_mixed_solve(source, channel, k, budget, n_low):
+    """Exact (below, lambda*, above, rho_high, AoII) of the linear-penalty mix
+    of n_low and n_low + 1, on Fractions: the tie prices of (n_low - 1,
+    n_low), -inf when n_low = 1, (n_low, n_low + 1) and (n_low + 1, n_low + 2),
+    from the oracle's cross-multiplied form."""
+    alpha, mu = source.alpha, source.mu
+    p = oracles.make_p(channel.p_e, channel.c, channel.r_max)
+    sums = oracles.fraction_burst_sums(alpha, mu, p, k)
+    cycle = {n: oracles.fraction_cycle_sums(alpha, mu, sums, n) for n in range(max(n_low - 1, 1), n_low + 3)}
+
+    def tie(n0):
+        return oracles.tie_price(cycle[n0], cycle[n0 + 1]) if n0 >= 1 else -math.inf
+
+    rho, aoii = oracles.fraction_mix(cycle[n_low], cycle[n_low + 1], budget)
+    return tie(n_low - 1), tie(n_low), tie(n_low + 1), rho, aoii
+
+
+def test_waiting_head_closed_form():
+    # the oracle's closed-form waiting head equals the term-by-term sum
+    sums = oracles.fraction_burst_sums(0.5, 1 / 30, oracles.make_p(0.5, 0.5, 2), 3)
+    m = Fraction(1 / 30)
+    for n0 in range(1, 51):
+        head = sum((1 - m) ** i * (i + 1) for i in range(n0 - 1))
+        cost = head + (1 - m) ** (n0 - 1) * (n0 * sums[0] + sums[1])
+        assert oracles.fraction_cycle_sums(0.5, 1 / 30, sums, n0)[2] == cost
+
+
 class TestEdgeSolves:
     """Near the limits mu -> alpha and p_e -> 1 a solve ends, in bounded
     time, in a solution or a typed SolverError."""
@@ -219,21 +256,38 @@ class TestEdgeSolves:
         sol = solve_cmdp(budget, source, channel, linear_penalty)
         assert time.perf_counter() - start < 2.0
         assert sol.regime == REGIME_MIXED
-        alpha, mu = source.alpha, source.mu
-        p = oracles.make_p(channel.p_e, channel.c, channel.r_max)
-        sums = oracles.fraction_burst_sums(alpha, mu, p, k)
-
-        def tie(n0):  # exact price at which n0 ties with n0 + 1
-            low, high = (oracles.fraction_cycle_sums(alpha, mu, sums, n) for n in (n0, n0 + 1))
-            return optimizer._tie_price(low, high)
-
-        exact_star = tie(sol.n_low)
-        below = tie(sol.n_low - 1) if sol.n_low > 1 else -math.inf
-        assert below < exact_star < tie(sol.n_high)
-        rho, aoii = oracles.fraction_mixed_solution(alpha, mu, p, k, budget, sol.n_low)
+        below, exact_star, above, rho, aoii = exact_mixed_solve(source, channel, k, budget, sol.n_low)
+        assert below < exact_star < above
         assert abs(sol.rho_high - float(rho)) <= 1e-12
         assert abs(sol.predicted_aoii - float(aoii)) <= 1e-12 * float(aoii)
         assert abs(sol.lambda_star - float(exact_star)) <= 1e-6 * float(exact_star)
+
+    @pytest.mark.parametrize("source, channel, k, budget, n_low", [
+        (SourceModel.from_states(0.2, 16), ChannelModel(p_e=0.99, c=0.5, r_max=0), 1, 1e-13, 545),
+        (SourceModel.from_states(0.99, 2), ChannelModel(p_e=0.5, c=0.5, r_max=2), 3, 1e-13, 2502),
+        (SourceModel.from_states(0.2, 16), ChannelModel(p_e=0.99, c=0.5, r_max=0), 1, 1e-11, 461),
+    ], ids=["alpha=0.2,p_e=0.99", "alpha=0.99,N=2", "alpha=0.2,p_e=0.99,R=1e-11"])
+    def test_large_threshold_solves_to_the_exact_answer(self, linear_penalty, source, channel, k, budget, n_low):
+        # the mixed thresholds are in the hundreds or thousands, where
+        # (1-mu)^n0 is small; tie prices read from differences of two
+        # thresholds' cycle sums would cancel there
+        sol = solve_cmdp(budget, source, channel, linear_penalty)
+        assert sol.regime == REGIME_MIXED and sol.n_low == n_low
+        assert abs(sol.predicted_rate - budget) <= 1e-9 * budget
+        below, exact_star, above, rho, aoii = exact_mixed_solve(source, channel, k, budget, sol.n_low)
+        assert below < exact_star < above
+        assert float(below) < sol.lambda_star < float(above)
+        assert abs(sol.rho_high - float(rho)) <= 1e-12
+        assert abs(sol.predicted_aoii - float(aoii)) <= 1e-12 * float(aoii)
+        assert abs(sol.lambda_star - float(exact_star)) <= 1e-9 * float(exact_star)
+
+    def test_solves_with_a_threshold_near_thirty_thousand(self, linear_penalty):
+        # (1-mu)^n0 is 6.9e-11 at the mixed pair; the search trace stays
+        # monotone and the certificate holds
+        source, channel = SourceModel.from_states(0.9, 128), ChannelModel(p_e=0.5, c=0.5)
+        sol = solve_cmdp(1e-13, source, channel, linear_penalty)
+        assert sol.regime == REGIME_MIXED and sol.n_low == 29_701
+        assert abs(sol.predicted_rate - 1e-13) <= 1e-9 * 1e-13
 
     @pytest.mark.parametrize("exponent", [*range(25, 41), 80])
     def test_power_penalty_near_the_boundedness_edge(self, paper_source, paper_channel, exponent):
