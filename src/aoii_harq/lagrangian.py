@@ -324,6 +324,23 @@ def step_cost(
     return penalty(n0) + (1.0 - source.mu) * w_hi - w_lo
 
 
+def tie_price(n0, sums, source, channel, penalty, cfg: SeriesConfig = SeriesConfig()) -> float:
+    """Price at which thresholds n0 and n0 + 1 cost the same, from n0's cycle
+    sums (L, T, C) and ``step_cost`` D:
+
+        (D L - (1 - mu S) C) / (mu S L + (1 - mu S) T)
+
+    The denominator is positive since L > T, and the search margin at price
+    lam equals (denominator / L) (tie - lam).  Nothing subtracts two
+    thresholds' sums, so the price keeps its precision where (1-mu)^n0 is
+    small.
+    """
+    length, transmissions, cost = sums
+    mu_s = source.mu * burst_chain(source, channel).total
+    step = step_cost(n0, source, channel, penalty, cfg)
+    return (step * length - (1.0 - mu_s) * cost) / (mu_s * length + (1.0 - mu_s) * transmissions)
+
+
 def _threshold_margin(n0, lam, source, channel, penalty, cfg) -> float:
     """LHS of the optimality condition, (1-mu) V(n0+1) - V(n0) + f(n0) - g,
     written with D: D - lam mu S - (1 - mu S) g.  Positive once n0 is large

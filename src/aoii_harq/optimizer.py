@@ -21,7 +21,7 @@ from typing import Optional
 import scipy  # noqa: F401  (benchmark workers report the loaded scipy version)
 
 from .errors import BoundednessError, SolverError
-from .lagrangian import SeriesConfig, burst_chain, cycle_sums, g_wait, least_true, optimal_threshold, step_cost
+from .lagrangian import SeriesConfig, cycle_sums, g_wait, least_true, optimal_threshold, tie_price
 from .model import validate_boundedness
 from .rate import achieved_rate, mixed_chain_analysis
 from .sim import FixedThreshold, MixedThreshold, NeverTransmit
@@ -102,13 +102,7 @@ def solve_cmdp(
     and the mixture's rate must meet R to within 1e-9.
     diagnostics["lambda_trace"] holds one (lambda, n0, rate) entry per
     threshold evaluated, lambda being the price at which n0 ties with n0 + 1
-    (0 for the unconstrained threshold).
-
-    Thresholds n0 and n0 + 1 tie at the price
-    (D L - (1 - mu S) C) / (mu S L + (1 - mu S) T), read from n0's cycle sums
-    and ``step_cost`` D, whose exact differences need no cancelling
-    subtraction of two thresholds' sums; the denominator is positive since
-    L > T.
+    (0 for the unconstrained threshold), from ``tie_price``.
     """
     if not 0.0 < R <= 1.0:
         raise ValueError(f"rate budget must lie in (0, 1], got {R}")
@@ -136,17 +130,21 @@ def solve_cmdp(
             diagnostics={"lambda_trace": (), "lambda_iterations": 0},
         )
 
-    records: dict[int, list[float]] = {}
+    sums: dict[int, tuple[float, float, float]] = {}
+    ties: dict[int, float] = {}
 
-    def record(n0: int) -> list[float]:
-        """[L, T, C] of threshold n0, then, once ``tie`` has read it, the
-        price at which n0 ties with n0 + 1."""
-        if n0 not in records:
-            records[n0] = list(cycle_sums(n0, source, channel, penalty, cfg))
-        return records[n0]
+    def cycle(n0: int) -> tuple[float, float, float]:
+        if n0 not in sums:
+            sums[n0] = cycle_sums(n0, source, channel, penalty, cfg)
+        return sums[n0]
+
+    def tie(n0: int) -> float:
+        if n0 not in ties:
+            ties[n0] = tie_price(n0, cycle(n0), source, channel, penalty, cfg)
+        return ties[n0]
 
     def rate(n0: int) -> float:
-        length, transmissions = record(n0)[:2]
+        length, transmissions, _ = cycle(n0)
         return transmissions / length
 
     def diagnostics() -> dict:
@@ -155,7 +153,7 @@ def solve_cmdp(
     n_zero = optimal_threshold(0.0, source, channel, penalty, cfg)
     trace = [(0.0, n_zero, rate(n_zero))]
     if rate(n_zero) <= R:
-        length, _, cost = record(n_zero)
+        length, _, cost = cycle(n_zero)
         rate_zero = achieved_rate(n_zero, source, channel, cfg).rate
         return CmdpSolution(
             regime=REGIME_PURE_THRESHOLD,
@@ -169,16 +167,6 @@ def solve_cmdp(
             predicted_aoii=cost / length,
             diagnostics=diagnostics(),
         )
-
-    mu_s = source.mu * burst_chain(source, channel).total
-
-    def tie(n0: int) -> float:
-        rec = record(n0)
-        if len(rec) == 3:
-            length, transmissions, cost = rec
-            step = step_cost(n0, source, channel, penalty, cfg)
-            rec.append((step * length - (1.0 - mu_s) * cost) / (mu_s * length + (1.0 - mu_s) * transmissions))
-        return rec[3]
 
     def feasible(n0: int) -> bool:
         trace.append((tie(n0), n0, rate(n0)))
@@ -197,8 +185,8 @@ def solve_cmdp(
         )
     _check_trace(trace)
     # budget excess e = T - R L of each threshold; the mixture's is linear in rho
-    excess_low = record(n_low)[1] - R * record(n_low)[0]
-    excess_high = record(n_high)[1] - R * record(n_high)[0]
+    excess_low = cycle(n_low)[1] - R * cycle(n_low)[0]
+    excess_high = cycle(n_high)[1] - R * cycle(n_high)[0]
     rho_high = excess_low / (excess_low - excess_high)
     predicted_rate, predicted_aoii = mixed_chain_analysis(n_low, rho_high, source, channel, penalty, cfg)
     if not abs(predicted_rate - R) <= _BUDGET_TOL:

@@ -142,12 +142,12 @@ class TestSolveCmdp:
 
             monkeypatch.setattr(optimizer, "cycle_sums", cheaper)
         else:
-            real = optimizer.step_cost
+            real = lagrangian.step_cost
 
             def cheaper(n0, *args, **kwargs):
                 return real(n0, *args, **kwargs) * (0.5 if n0 == sol.n_high else 1.0)
 
-            monkeypatch.setattr(optimizer, "step_cost", cheaper)
+            monkeypatch.setattr(lagrangian, "step_cost", cheaper)
         with pytest.raises(SolverError, match="certificate"):
             solve_cmdp(0.2, paper_source, paper_channel, linear_penalty)
 
