@@ -1,5 +1,8 @@
+import dataclasses
+import functools
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -153,7 +156,12 @@ PIN_CASES = {
 # failure mass q = p_e c^r was formed directly instead of as 1 - p(r); the
 # values and g re-recorded once the anchor was folded into the sweep and
 # g2 V(delta+1, 0) + c became a rank-2 product (greedy tables, iterations
-# and convergence unchanged, g within 1e-15 relative)
+# and convergence unchanged, g within 1e-15 relative); unbounded-c0.5,
+# waiting-source, power-1.5 and table re-recorded once the stopping test ran
+# on every fourth sweep only (249, 79, 117 and 133 sweeps became 252, 80, 120
+# and 136, the next multiple of 4; greedy tables unchanged), while the pins
+# whose counts are multiples of 4 or max_iters stayed bit for bit, as the
+# table after each sweep is unchanged
 PINS = {
     "paper-lam0": ("b90116f6a7784379c36dac32128f855355c4d0977e86f36a28a3fb54b26344c2",
                    "c0b07d7ce7115c1b0c8eddb212c29f0c515f1199c3330e946cad9eb79d98c6ef",
@@ -161,18 +169,18 @@ PINS = {
     "paper-lam5": ("45525709f259a4d49eb4751ca738fc518d991d703569c486c123f77196cb5e09",
                    "9fc38aca27d814ee456abaaf3a35b008ab270b8cd837acfcf9008978c1094e72",
                    "5.004001090680742", 80, True),
-    "unbounded-c0.5": ("5a9ab78ddd0b512cbf616e25812a99331c533643207d2317a186eaff49007428",
+    "unbounded-c0.5": ("a6a925395e9f88619004ef20ed3e6090860e34aff88b5cc34dd219cb11c71e5c",
                        "5e3bc2bd6bf1e9e6d1bfac9fefc188db98a94c09d9b5340ef5790c8bae621df6",
-                       "9.558055129772853", 249, True),
-    "waiting-source": ("01b239740508ff9471334021988df6f5ec6a2cb28cd057b9228b00dca37fe1a9",
+                       "9.558055129740879", 252, True),
+    "waiting-source": ("54948b886df2dd2131ae8d9e86f622960bd90f89d3bbf2b927f5c23c05f5754d",
                        "e0200e88ecca42bc2442a9b80102765eb4471195e74b88615a24634a214e8e26",
-                       "2.4999999999986486", 79, True),
-    "power-1.5": ("86682e7d40b74d2c8612d8c46c5f35f9f25adb1ad6b8ffda180782588bd55911",
+                       "2.499999999999054", 80, True),
+    "power-1.5": ("21745a6227282d97cfc262f5f3914c21d0e4731a53e80f2de2fcebb47ee31182",
                   "e49bb2da23c62bef0c415190e8c63113fae06050a11bb864c988ad9e99ac921b",
-                  "18.998393780342248", 117, True),
-    "table": ("fd9bce74260108e5355f1ac136d9ed06709ca11b68cd9429a5108c8651cdde32",
+                  "18.99839378037706", 120, True),
+    "table": ("f35917816d01b5afa4132e56997ec1b79993442d9c66bcf2e3868815307301cd",
               "7818cc24b4fc046fe0d15074fa86810352bfc5a608aaf4fa50e532d12990c1cd",
-              "18.86109213345491", 133, True),
+              "18.861092133451454", 136, True),
     "smallest-grid": ("0d6ef86cda479308c4986e1df57b05970cd5b4fad3c996bbd391dd0ccf1e53e5",
                       "cdd527f2f138ddd775902d637b6e2cf57140b556aeb4fd7e39d9652043735da5",
                       "0.22972067038752333", 12, True),
@@ -206,6 +214,55 @@ def test_solution_pinned_bit_for_bit(name):
             if hits.size:
                 expected[r] = int(hits[0]) + 1
         assert extract_thresholds(sol) == expected
+
+
+# the stopping test runs on every fourth sweep and on the last allowed one,
+# so max_iters = j always tests sweep j
+CHECK_EVERY = 4
+CONVERGED_CASES = [name for name in PIN_CASES if PINS[name][4]]
+
+
+def _solve_capped(name, max_iters):
+    lam, source, channel, penalty, cfg = PIN_CASES[name]
+    return rvi_solve(lam, source, channel, penalty, dataclasses.replace(cfg, max_iters=max_iters))
+
+
+@functools.cache
+def _converged_by_cap(name):
+    """converged for each max_iters = 1 ... the pinned count."""
+    return [_solve_capped(name, j).converged for j in range(1, PINS[name][3] + 1)]
+
+
+class TestStopRule:
+    @pytest.mark.parametrize("name", CONVERGED_CASES)
+    def test_stops_on_a_tested_sweep_with_the_same_solution(self, name):
+        lam, source, channel, penalty, cfg = PIN_CASES[name]
+        sol = rvi_solve(lam, source, channel, penalty, cfg)
+        assert sol.converged and sol.iterations % CHECK_EVERY == 0
+        capped = _solve_capped(name, sol.iterations)
+        assert capped.converged and capped.iterations == sol.iterations
+        assert np.array_equal(capped.values, sol.values)
+        assert np.array_equal(capped.greedy_transmit, sol.greedy_transmit)
+        assert repr(capped.g) == repr(sol.g)
+        assert not _solve_capped(name, sol.iterations - CHECK_EVERY).converged
+
+    @pytest.mark.parametrize("name", CONVERGED_CASES)
+    def test_stops_at_the_first_tested_sweep_from_the_least_converging_cap(self, name):
+        least = _converged_by_cap(name).index(True) + 1
+        assert PINS[name][3] == CHECK_EVERY * math.ceil(least / CHECK_EVERY)
+
+    @pytest.mark.parametrize("name", ["paper-lam0", "waiting-source", "table"])
+    def test_span_never_grows(self, name):
+        # converged over max_iters = 1 ... iterations is False, then True
+        flags = _converged_by_cap(name)
+        assert flags[-1] and flags == sorted(flags)
+
+    @pytest.mark.parametrize("max_iters, outcome", [(78, (False, 78)), (79, (True, 79)), (81, (True, 80))])
+    def test_a_cap_off_the_cycle_tests_its_last_sweep(self, max_iters, outcome):
+        # waiting-source first meets span_tol at sweep 79; a cap of 81 stops
+        # at the tested sweep 80
+        sol = _solve_capped("waiting-source", max_iters)
+        assert (sol.converged, sol.iterations) == outcome
 
 
 @pytest.mark.parametrize("rows, cols", [(65, 401), (33, 201), (4, 101), (2, 3), (129, 801)])
