@@ -3,12 +3,13 @@ source over a slotted HARQ channel, measured by the age of incorrect
 information (AoII).
 
 The model module holds the source, channel and penalty types and the one
-transmit kernel, gamma_arrays, that every computation reads.  The package
-solves the constrained average-cost problem in closed form
-(lagrangian + rate + optimizer), validates the solution against an
-independent relative-value-iteration oracle (rvi), and measures policies by
-seeded Monte Carlo simulation (sim).  The cli module wraps everything as an
-experiment harness.
+transmit law that every computation reads: only model.transmit_law forms
+and range-checks a transmit slot's outcomes, and gamma_arrays is its
+(gamma1, gamma2).  The package solves the constrained average-cost problem
+in closed form (lagrangian + rate + optimizer), validates the solution
+against an independent relative-value-iteration oracle (rvi), and measures
+policies by seeded Monte Carlo simulation (sim).  The cli module wraps
+everything as an experiment harness.
 """
 
 from .errors import (

@@ -25,6 +25,7 @@ from math import ceil, sqrt
 
 import numpy as np
 
+from .model import transmit_law
 from .segments import RampCost, Segments, batch_starts
 
 _WINDOW = 1 << 15  # most slots per window
@@ -46,19 +47,20 @@ def _lattice_marks(rng, lo, hi, p):
 
 
 class ResetMarks:
-    """The mark law, window width and segment pricing of one policy.  A
-    window's per-mark arrays live only inside these methods, so they are
-    freed before the next window is drawn (a generator's locals are not)."""
+    """The mark law, window width and segment pricing of one policy.  p(0)
+    and the outcome masses at r = 0 are model.transmit_law's, range-checked
+    there; this class forms none of them.  A window's per-mark arrays live
+    only inside these methods, so they are freed before the next window is
+    drawn (a generator's locals are not)."""
 
     def __init__(self, period, source, channel, penalty):
         self.period, self.alpha, self.mu = period, source.alpha, source.mu
-        q0 = channel.error_probability(0)
-        self.p0 = 1.0 - q0
-        self.c1 = self.alpha * self.p0  # decoded and reset
-        self.c2 = self.c1 + self.mu * q0  # reset, decoded or not
-        # cuts of the outcomes that keep the AoII stale, of mass 1 - c2
-        self.decoded_cut = (1.0 - self.alpha) * self.p0
-        self.kept_cut = self.decoded_cut + self.alpha * q0
+        p, masses, _ = transmit_law(source, channel, 1)
+        self.p0 = float(p[0])
+        # cuts of the outcomes that reset the AoII (c1 decoded, c2 either),
+        # and of those that keep it stale, of mass 1 - c2 (decoded, kept)
+        self.c1, self.c2 = np.cumsum(masses[:2, 0]).tolist()
+        self.decoded_cut, self.kept_cut = np.cumsum(masses[2:, 0]).tolist()
         self.ramp_cost = RampCost(penalty)
         self.width = min(_WINDOW, ceil(_MARKS * period / (self.c2 + (period - 1) * self.mu)))
 

@@ -10,8 +10,10 @@ when the decoder soft-combines retransmissions.
 Waiting from a stale state resets the AoII with probability mu, and at
 delta = 0 either action keeps it at 0 with probability alpha.  A transmission
 from a stale state advances the count with gamma1(r), restarts it with
-gamma2(r) and resets the rest.  ``gamma_arrays`` alone forms and range-checks
-these coefficients; the per-state view of the kernel is a test oracle.
+gamma2(r) and resets the rest.  ``transmit_law`` alone forms and range-checks
+a transmit slot's outcome masses; ``gamma_arrays`` reads gamma1 and gamma2
+from it, and both simulator samplers their cuts.  The per-state view of the
+kernel is a test oracle.
 
 The problem is well posed when always transmitting has a finite average
 AoII, sum_l f(l+1) q^l < inf with q = gamma1(0) + gamma2(0).
@@ -118,12 +120,10 @@ class ChannelModel:
     def error_probability(self, r):
         """q(r) = p_e * c**(r mod (r_max+1)) for a count or an array of counts,
         formed directly (1 - p(r) would cancel to 0 below 1.1e-16) and from
-        Python float powers, so an array holds the scalar call's bits."""
+        Python float powers."""
         c = 1.0 if self.combining == "none" else self.c
         if self.r_max is not None:
             r = r % (self.r_max + 1)
-        if np.ndim(r) == 0:
-            return self.p_e * c ** int(r)
         return np.array([self.p_e * c**i for i in range(int(np.max(r, initial=0)) + 1)])[r]
 
     def success_probability(self, r):
@@ -217,13 +217,22 @@ def gamma(source: SourceModel, channel, r: int) -> GammaPair:
     return GammaPair(float(g1[r]), float(g2[r]))
 
 
-def gamma_arrays(source: SourceModel, channel, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """gamma1(r) and gamma2(r) for r < n as arrays, checked as GammaPair checks
-    each pair: raises DegenerateKernelError (a SolverError and a ValueError)
-    at the first r out of range."""
+def transmit_law(source: SourceModel, channel, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The law of a transmit slot for counts r < n, as (p, masses, gamma2).
+
+    p(r) = 1 - q(r) decodes, q(r) from ``channel.error_probability``.  The
+    rows of masses are the outcomes from a stale AoII: decoded and reset
+    alpha*p, failed and reset mu*q, decoded and stale (1-alpha)*p, and kept
+    alpha*q = gamma1(r), failed with the source unchanged (r -> r + 1); the
+    rest, (1-alpha-mu)*q, restarts the count.  gamma2(r) = 1 - alpha - mu*q.
+    Checked as GammaPair checks each pair: raises DegenerateKernelError (a
+    SolverError and a ValueError) at the first r out of range.
+    """
     q = channel.error_probability(np.arange(n))
-    g1 = source.alpha * q
-    g2 = 1.0 - source.alpha - source.mu * q
+    p = 1.0 - q
+    alpha, mu = source.alpha, source.mu
+    masses = np.array([alpha * p, mu * q, (1.0 - alpha) * p, alpha * q])
+    g1, g2 = masses[3], 1.0 - alpha - masses[1]
     bad = np.nonzero((g1 < 0.0) | (g2 < 0.0) | (g1 + g2 >= 1.0))[0]
     if bad.size:
         r = int(bad[0])
@@ -231,7 +240,13 @@ def gamma_arrays(source: SourceModel, channel, n: int) -> tuple[np.ndarray, np.n
             f"gamma coefficients at r={r} must be nonnegative and sum below 1, "
             f"got gamma1={float(g1[r])!r}, gamma2={float(g2[r])!r}"
         )
-    return g1, g2
+    return p, masses, g2
+
+
+def gamma_arrays(source: SourceModel, channel, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """gamma1(r) and gamma2(r) for r < n as arrays, from ``transmit_law``."""
+    _, masses, g2 = transmit_law(source, channel, n)
+    return masses[3], g2
 
 
 def settling_term(penalty, q: float, start: int, tol: float, l_cap: int) -> int | None:

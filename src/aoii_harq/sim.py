@@ -41,10 +41,9 @@ from math import ceil, sqrt
 import numpy as np
 
 from .marks import periodic_blocks
-from .model import gamma_arrays
+from .model import transmit_law
 from .segments import RampCost, Segments, batch_starts
 
-_SLOTS = 4096  # most slots per period-1 dwell-decode draw
 _BLOCK = 8192  # slots a block of renewal cycles aims to cover
 _FAR = 1 << 62  # burst-start AoII of a cycle without a burst
 
@@ -133,9 +132,10 @@ class _Bursts:
     A run starts at count 0 and keeps the count (r -> r + 1: failed with the
     source unchanged, probability gamma1(r)) for K - 1 slots, so
     P(K > k) = prod_{j<k} gamma1(j); its K-th slot takes one of the other
-    four outcomes at r = K - 1, cut cumulatively as [alpha*p | mu*q |
-    (1-alpha)*p | rest]: decoded and reset, failed and reset, decoded and
-    stale, failed with the count restarted.  A burst is the runs up to and
+    four outcomes at r = K - 1, cut cumulatively as [decoded and reset |
+    failed and reset | decoded and stale | failed with the count restarted].
+    The masses and gamma1 are model.transmit_law's, range-checked there;
+    this class forms none of them.  A burst is the runs up to and
     including the first one that ends in a reset.  Per-count arrays grow on
     demand, so every count a run can reach is covered.  Only per-burst and
     per-run data are kept; _expand rebuilds the per-slot counts.
@@ -146,17 +146,11 @@ class _Bursts:
         self._grow(64)
 
     def _grow(self, n: int) -> None:
-        alpha, mu = self._source.alpha, self._source.mu
-        keep, _ = gamma_arrays(self._source, self._channel, n)  # gamma1(r), range-checked
-        q = self._channel.error_probability(np.arange(n))
-        p = 1.0 - q
-        c1 = alpha * p
-        c2 = c1 + mu * q
-        c3 = c2 + (1.0 - alpha) * p
+        _, masses, _ = transmit_law(self._source, self._channel, n)
         # indexed by K = r + 1, so row by row each a 1-d gather
-        self._cuts = np.pad(np.array([c1, c2, c3]), ((0, 0), (1, 0)))
-        self._ending = np.pad(1.0 - keep, (1, 0))  # mass of the four run-ending outcomes
-        self._survival = np.cumprod(keep)[::-1]  # P(K > k) for k = n, ..., 1
+        self._cuts = np.pad(np.cumsum(masses[:3], axis=0), ((0, 0), (1, 0)))
+        self._ending = np.pad(1.0 - masses[3], (1, 0))  # mass of the four run-ending outcomes
+        self._survival = np.cumprod(masses[3])[::-1]  # P(K > k) for k = n, ..., 1
 
     def draw(self, rng, n: int):
         """(lengths, run_end, decoded) of n bursts: per burst its slot count,
@@ -229,9 +223,9 @@ def _cycle_slots(rng, waits, dwell_tx, source, channel, penalty, size, horizon, 
     transmit slots are the burst slots in order, so the decodes before a cut
     are the decoded runs that end within its transmissions.  waits(rng, n)
     gives each cycle's wait slots before its burst (_FAR: none); dwell_tx
-    makes the AoII-0 slots transmit too (period 1), with the decodes of each
-    _SLOTS-slot slice's dwell slots drawn as one binomial.  slots is
-    _expand's (delta, r, tx) of the block if keep, else None.
+    makes the AoII-0 slots transmit too (period 1), with the decodes of the
+    block's dwell slots drawn as one binomial.  slots is _expand's
+    (delta, r, tx) of the block if keep, else None.
     """
     p0 = channel.success_probability(0)
     bursts = _Bursts(source, channel)
@@ -250,8 +244,7 @@ def _cycle_slots(rng, waits, dwell_tx, source, channel, penalty, size, horizon, 
         decodes = int(np.count_nonzero(decoded[: np.searchsorted(run_end, txs[-1], "right")]))
         if dwell_tx:
             txs = txs + zeros
-            for count in np.diff(cycles.upto(np.array([*range(0, n, _SLOTS), n]))[2]):
-                decodes += int(rng.binomial(count, p0))
+            decodes += int(rng.binomial(int(zeros[-1]), p0))
         slots = _expand(cycles, block, n, dwell_tx) if keep else None
         yield n, np.diff(costs), np.diff(txs), cycles.top, decodes, slots
         # burst arrays grow with the slots a block covers, so aim at _BLOCK

@@ -19,7 +19,8 @@ from aoii_harq import (
     gamma_arrays,
     validate_boundedness,
 )
-from aoii_harq.model import BOUNDEDNESS_L_CAP, BOUNDEDNESS_TOL, settling_term
+from aoii_harq.model import BOUNDEDNESS_L_CAP, BOUNDEDNESS_TOL, settling_term, transmit_law
+from aoii_harq.sim import _Bursts
 from oracles import TRANSMIT, WAIT, State
 
 
@@ -242,6 +243,24 @@ class TestGammaArrays:
         assert str(caught.value) == (
             "gamma coefficients at r=0 must be nonnegative and sum below 1, got gamma1=5e-18, gamma2=1.0"
         )
+
+
+class TestTransmitLaw:
+    def test_outcomes_are_the_whole_slot_and_the_burst_cuts(self, perfect_channel):
+        # the four masses and the restart mass (1-alpha-mu)*q, formed here,
+        # are every outcome of a stale transmit slot, and _Bursts cuts its
+        # uniforms on the running sums of the three run-ending ones
+        rng = np.random.default_rng(11)
+        paper = SourceModel(0.5, 1 / 30)
+        for source, channel in random_models(rng, 20) + [(paper, perfect_channel), (paper, _FixedLaw(0.7))]:
+            p, masses, _ = transmit_law(source, channel, 64)
+            q = channel.error_probability(np.arange(64))
+            assert np.array_equal(p, 1.0 - q)
+            restart = (1.0 - source.alpha - source.mu) * q
+            for r in range(64):
+                assert abs(math.fsum([*masses[:, r], restart[r]]) - 1.0) <= 1e-15, (source, channel, r)
+            running = [masses[0], masses[0] + masses[1], masses[0] + masses[1] + masses[2]]
+            assert np.array_equal(_Bursts(source, channel)._cuts[:, 1:], running)
 
 
 class TestTransitionDist:

@@ -213,7 +213,7 @@ class TestSimulate:
         assert digest.hexdigest() == self.TRAJECTORY_SHA256[setting, policy, horizon]
 
     # Periodic(1.0): threshold-1 cycles whose AoII-0 slots transmit too, the
-    # decodes of each slice's dwell slots drawn as one binomial, which the
+    # decodes of each block's dwell slots drawn as one binomial, which the
     # trajectory does not show.  Per setting and horizon at seed 17, the
     # report fields after (horizon, seed) and the trajectory's sha256
     PERIOD_ONE = {
@@ -222,24 +222,24 @@ class TestSimulate:
             "746aa207d0dbbbb525be91f40189981f2916644f71438656cb4a470beb1edc21",
         ),
         ("paper", 20_000): (
-            (2.06535, 1.0, 0.04814017070341084, 0.0, 25, 10732),
-            "00121523b86a3157df992c560b388b677c4200cfeb570a57a11309f6c1333db9",
+            (2.0592, 1.0, 0.044144661184690404, 0.0, 22, 10746),
+            "e9d6e84c965896f448602ac5311dece0749436da4ea1ea2a8bdf07730942c35a",
         ),
         ("paper", 100_003): (
-            (2.0862474125776225, 1.0, 0.02177352437333845, 0.0, 27, 53758),
-            "c9b222829c3fae5d6b8666f0a0fa34fadb1d589090702701142ddb8f414e7a92",
+            (2.075367738967831, 1.0, 0.019550009713500908, 0.0, 28, 53816),
+            "143786cdb6bad298626fbac91fd77bbdf0427ec5ca11240509d22d2fac3cdb55",
         ),
         ("waiting", 150): (
             (28.68, 1.0, 1.7959468957976603, 0.0, 68, 76),
             "59e1272290f2c19a1ae4f84d4060da354f6b3db2e6452d57bf429380284e9cef",
         ),
         ("waiting", 20_000): (
-            (49.41555, 1.0, 3.424786835433202, 0.0, 399, 10158),
-            "288c1d1e4c5518e195d5185760823318f17018ee52ef740603faa0db73a35303",
+            (49.4167, 1.0, 3.42508575813892, 0.0, 399, 10171),
+            "53d03fb827baac3595ca268e3f147e602377c020d5b5e5d732fbbd64ef755f2a",
         ),
         ("waiting", 100_003): (
-            (46.17301480955571, 1.0, 1.1886731803297967, 0.0, 399, 50283),
-            "133011603d0bb71b3d74441d7897036542a4f854d5400dbb806baff7bb87c3cf",
+            (46.80823575292741, 1.0, 1.4076497475228027, 0.0, 399, 50180),
+            "a3da21e0cca32fa08f028c7641e645c0d674ecf19c08dba27eda811d5347d07b",
         ),
     }
 
@@ -432,13 +432,15 @@ class TestSimulate:
 
     def test_degenerate_kernel_raises(self, linear_penalty):
         # 1 - alpha - mu*q rounds to 1.0, so a burst would almost never reset
-        # and the draw would grow until memory ran out; the sampler reads
-        # the range-checked gamma_arrays instead.  _Bursts is checked first,
-        # so a regression fails here rather than in an unbounded draw
+        # and the draw would grow until memory ran out, and a periodic policy
+        # would report a kernel that every solve refuses; both samplers read
+        # the range-checked model.transmit_law instead.  _Bursts is checked
+        # first, so a regression fails here rather than in an unbounded draw
         source, channel = SourceModel(1e-17, 1e-18), ChannelModel(p_e=0.5, c=0.5)
         with pytest.raises(DegenerateKernelError, match="r=0"):
             _Bursts(source, channel)
-        for policy in (NeverTransmit(), FixedThreshold(1), MixedThreshold(1, 0.5), Periodic(1.0)):
+        periodic = (Periodic(1.0), Periodic(0.5), Periodic(0.1))
+        for policy in (NeverTransmit(), FixedThreshold(1), MixedThreshold(1, 0.5), *periodic):
             with pytest.raises(DegenerateKernelError):
                 simulate(policy, source, channel, linear_penalty, 1000, seed=0)
 
