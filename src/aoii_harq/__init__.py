@@ -47,7 +47,7 @@ from .optimizer import (
     solution_policy,
     solve_cmdp,
 )
-from .rate import MTable, RateAnalysis, achieved_rate, m_table, mixed_chain_analysis
+from .rate import RateAnalysis, achieved_rate, m_table, mixed_chain_analysis
 from .rvi import RviConfig, RviSolution, extract_thresholds, rvi_solve
 from .sim import (
     FixedThreshold,

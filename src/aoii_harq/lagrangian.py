@@ -39,11 +39,12 @@ _SERIES_BLOCK = 8192  # terms the waiting cost sums at a time
 class SeriesConfig:
     """Truncation controls for the sigma series and its penalty-weighted sums.
 
-    epsilon cuts the raw series (stop once sigma_l < epsilon); the weighted
-    cutoff additionally requires f(delta + l) * sigma_l < weighted_epsilon so
-    slowly growing penalties cannot starve the weighted sums; l_cap is a hard
-    iteration ceiling beyond which TruncationError is raised.  The linear
-    penalty's sums are exact and use none of them.
+    epsilon cuts the raw series (SigmaSeries.cutoff stops once sigma_l <
+    epsilon); the weighted cut (SigmaSeries.weighted_sum) additionally requires
+    f(delta + l) * sigma_l < weighted_epsilon so slowly growing penalties
+    cannot starve the weighted sums; l_cap is a hard iteration ceiling beyond
+    which TruncationError is raised.  The linear penalty's sums are exact and
+    use none of them.
     """
 
     epsilon: float = 1e-12
@@ -77,8 +78,10 @@ class SigmaSeries:
     first count the burst cannot pass in double precision: where the running
     product of gamma1 is 0.0.
 
-    The walked terms live in float64 buffers that double in size as the walk
-    grows; queries read views of them, never copies.
+    cutoff makes the epsilon cut of the series, and weighted_sum the
+    penalty-weighted cut of W(delta0) = sum_l f(delta0 + l) sigma_l, which it
+    sums.  The walked terms live in float64 buffers that double in size as
+    the walk grows; queries read views of them, never copies.
     """
 
     def __init__(self, source, channel):
@@ -153,57 +156,53 @@ class SigmaSeries:
         self._walk(depth)
         return float(self._tail[depth])
 
-    def cutoff(self, cfg: SeriesConfig, delta0: int = 0, penalty=None) -> int:
-        """First l with sigma_l < epsilon and, given a penalty, also
-        f(delta0 + l) * sigma_l < weighted_epsilon.
+    def cutoff(self, cfg: SeriesConfig) -> int:
+        """The epsilon cut: the first l with sigma_l < epsilon.
 
         The terms already walked are tested as one array.  Past them the walk
-        goes on one term at a time to the first term below epsilon; past
-        that, given a penalty, in blocks of at least _WALK_BLOCK terms (an
-        eighth of the walk), each tested with one ``penalty.evaluate``.  The
-        walk stops at cfg.l_cap, and TruncationError is raised when the cut
-        lies past it.  f is evaluated with numpy's overflow warnings off: an
-        f(delta0 + l) that is not finite does not meet the cut.
+        goes on one term at a time.  It stops at cfg.l_cap, and
+        TruncationError is raised when the cut lies past it.
         """
-
-        def cut(start: int) -> int | None:
-            below = np.flatnonzero(self._sigma[start : self._size] < cfg.epsilon)
-            if not below.size:
-                return None
-            first = start + int(below[0])
-            if penalty is None:
-                return first
-            sig = self._sigma[first : self._size]
-            ls = np.arange(first, self._size, dtype=float)
-            with np.errstate(over="ignore", invalid="ignore"):
-                ok = (sig < cfg.epsilon) & (penalty.evaluate(delta0 + ls) * sig < cfg.weighted_epsilon)
-            hits = np.flatnonzero(ok)
-            return first + int(hits[0]) if hits.size else None
-
-        depth = cut(0)
+        below = np.flatnonzero(self._sigma[: self._size] < cfg.epsilon)
+        depth = int(below[0]) if below.size else None
         while depth is None and self.depth < cfg.l_cap:
-            start = self._size
-            if penalty is None or self._sigma[self.depth] >= cfg.epsilon:
-                self.step()
-            else:
-                self._walk(min(self.depth + max(_WALK_BLOCK, self._size >> 3), cfg.l_cap))
+            self.step()
             if self._sigma[self.depth] < cfg.epsilon:
-                depth = cut(start)
+                depth = self.depth
         if depth is None or depth > cfg.l_cap:
             raise TruncationError(f"sigma series not below cutoff after l_cap={cfg.l_cap} terms")
         return depth
 
-    def sums_for(self, delta0: int, penalty, cfg: SeriesConfig) -> tuple[float, float]:
-        """(S, W): S = sum_l sigma_l and W = sum_l f(delta0+l) sigma_l.
+    def weighted_sum(self, delta0: int, penalty, cfg: SeriesConfig) -> float:
+        """W = sum_l f(delta0 + l) sigma_l, cut at the weighted cut.
 
-        S is exact, and so is W for the linear penalty, which walks nothing.
-        Otherwise W is cut at cutoff(cfg, delta0, penalty).
+        W is exact for the linear penalty, which walks nothing.  Otherwise the
+        weighted cut is the first l from cutoff(cfg) on with sigma_l < epsilon
+        and f(delta0 + l) * sigma_l < weighted_epsilon.  Past the terms
+        already walked, the walk goes on in blocks of at least _WALK_BLOCK
+        terms (an eighth of the walk).  f is evaluated once per age in one
+        array, on the terms each block adds, and only those terms are tested.
+        The walk stops at cfg.l_cap, and TruncationError is raised when the
+        cut lies past it.  f is evaluated with numpy's overflow warnings off:
+        an f(delta0 + l) that is not finite does not meet the cut.
         """
         if getattr(penalty, "kind", None) == "linear":
-            return self.total, delta0 * self.total + self.moment
-        depth = self.cutoff(cfg, delta0, penalty)
-        weights = penalty.evaluate(delta0 + np.arange(depth + 1, dtype=float))
-        return self.total, float(weights @ self._sigma[: depth + 1])
+            return delta0 * self.total + self.moment
+        start = self.cutoff(cfg)
+        f = np.empty(0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            while True:
+                f = np.concatenate((f, penalty.evaluate(delta0 + np.arange(f.size, self._size, dtype=float))))
+                sig = self._sigma[start : self._size]
+                hits = np.flatnonzero((sig < cfg.epsilon) & (f[start:] * sig < cfg.weighted_epsilon))
+                if hits.size or self.depth >= cfg.l_cap:
+                    break
+                start = self._size
+                self._walk(min(self.depth + max(_WALK_BLOCK, self._size >> 3), cfg.l_cap))
+        if not hits.size or start + hits[0] > cfg.l_cap:
+            raise TruncationError(f"sigma series not below cutoff after l_cap={cfg.l_cap} terms")
+        depth = start + int(hits[0])
+        return float(f[: depth + 1] @ self._sigma[: depth + 1])
 
 
 @lru_cache(maxsize=1)
@@ -237,7 +236,8 @@ def cycle_sums(
     """
     if n0 < 1:
         raise ValueError(f"threshold must be >= 1, got {n0}")
-    sig_sum, weighted = burst_chain(source, channel).sums_for(n0, penalty, cfg)
+    series = burst_chain(source, channel)
+    weighted = series.weighted_sum(n0, penalty, cfg)
     alpha, mu = source.alpha, source.mu
     omm = 1.0 - mu
     if n0 > 1:
@@ -246,7 +246,7 @@ def cycle_sums(
     else:
         head_f = 0.0
     pref = omm ** (n0 - 1)
-    transmissions = pref * sig_sum
+    transmissions = pref * series.total
     length = 1.0 / (1.0 - alpha) + (1.0 - pref) / mu + transmissions
     cost = penalty(0) / (1.0 - alpha) + head_f + pref * weighted
     return length, transmissions, cost
@@ -291,8 +291,8 @@ def value_at(
     if delta < 1:
         raise ValueError("V is anchored at V(0,0) = 0; query delta >= 1")
     if delta >= n0:
-        sig_sum, weighted = burst_chain(source, channel).sums_for(delta, penalty, cfg)
-        return weighted + (lam - g) * sig_sum
+        series = burst_chain(source, channel)
+        return series.weighted_sum(delta, penalty, cfg) + (lam - g) * series.total
     mu = source.mu
     omm = 1.0 - mu
     k = n0 - delta
@@ -319,8 +319,8 @@ def step_cost(
     that both the threshold search and the solve's tie prices read.
     """
     series = burst_chain(source, channel)
-    _, w_lo = series.sums_for(n0, penalty, cfg)
-    _, w_hi = series.sums_for(n0 + 1, penalty, cfg)
+    w_lo = series.weighted_sum(n0, penalty, cfg)
+    w_hi = series.weighted_sum(n0 + 1, penalty, cfg)
     return penalty(n0) + (1.0 - source.mu) * w_hi - w_lo
 
 

@@ -25,25 +25,17 @@ from .lagrangian import SeriesConfig, burst_chain, cycle_sums
 from .model import PenaltySpec
 
 
-@dataclass(frozen=True)
-class MTable:
+def m_table(source, channel, h_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Burst weights m(h, r) = m0[h - r] * gamma1_prefix[r] for r <= h <= h_max
-    in factored form: m0[h] = m(h, 0) and gamma1_prefix[r] = prod_{j<r}
-    gamma1(j) (zero once the product underflows)."""
-
-    h_max: int
-    m0: np.ndarray
-    gamma1_prefix: np.ndarray
-
-
-def m_table(source, channel, h_max: int) -> MTable:
-    """m(h, 0) = e0' Q^(h-1) gamma2, read off the folded burst chain, and the
-    running products of gamma1 over the counts."""
+    in factored form (m0, gamma1_prefix): m0[h] = m(h, 0) = e0' Q^(h-1)
+    gamma2, read off the folded burst chain, and gamma1_prefix[r] =
+    prod_{j<r} gamma1(j), the running products of gamma1 over the counts
+    (zero once the product underflows)."""
     if h_max < 0:
         raise ValueError(f"h_max must be nonnegative, got {h_max}")
     series = burst_chain(source, channel)
     prefix = np.concatenate(([1.0], np.cumprod(np.resize(series.gamma1, h_max))))
-    return MTable(h_max, series.inflow(h_max), prefix)
+    return series.inflow(h_max), prefix
 
 
 @dataclass(frozen=True)
@@ -86,11 +78,11 @@ class RateAnalysis:
     def stationary_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         alpha, mu = self.source.alpha, self.source.mu
         ramp = [self.q00 * (1.0 - alpha) * (1.0 - mu) ** (k - 1) for k in range(1, self.n0)]
-        table = m_table(self.source, self.channel, max(self.depth - 1, 0))
+        m0, gamma1_prefix = m_table(self.source, self.channel, max(self.depth - 1, 0))
         # counts past the underflow of the gamma1 prefix carry no mass
-        h, r = np.tril_indices(self.depth, m=int(np.count_nonzero(table.gamma1_prefix)))
+        h, r = np.tril_indices(self.depth, m=int(np.count_nonzero(gamma1_prefix)))
         scale = self.q00 * (1.0 - alpha) * (1.0 - mu) ** (self.n0 - 1)
-        mass = scale * table.m0[h - r] * table.gamma1_prefix[r]
+        mass = scale * m0[h - r] * gamma1_prefix[r]
         keep = mass > 0.0
         deltas = np.concatenate((np.arange(self.n0), self.n0 + h[keep]))
         rs = np.concatenate((np.zeros(self.n0, dtype=r.dtype), r[keep]))

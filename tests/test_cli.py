@@ -388,6 +388,9 @@ class TestGoldenOutputs:
         ("wait-aoii_paper_r0.2.txt", "wait-aoii", "tests/golden/paper_r0.2.json", []),
         # d**32: certificate terms peak near 1e50.7, finite, so the solve is certified
         ("solve_paper_power32.txt", "solve", "tests/golden/paper_power32.json", []),
+        # a table penalty and d**1.5: weighted cuts past the epsilon cut
+        ("solve_paper_table.txt", "solve", "tests/golden/paper_table.json", []),
+        ("solve_paper_power1.5.txt", "solve", "tests/golden/paper_power1.5.json", []),
         # d**2 on the waiting source: the waiting cost sums to a settled probe
         ("wait-aoii_waiting_source_power2.txt", "wait-aoii", "tests/golden/waiting_source_power2.json", []),
         ("solve_waiting_source_power2.txt", "solve", "tests/golden/waiting_source_power2.json", []),

@@ -127,11 +127,11 @@ class TestSigmaSeries:
         burst_chain.cache_clear()
         series = burst_chain(paper_source, paper_channel)
         loose, tight = SeriesConfig(1e-2, 1e-2, l_cap=1), SeriesConfig(1e-15, 1e-15)
-        assert series.sums_for(5, linear_penalty, loose) == series.sums_for(5, linear_penalty, tight)
+        assert series.weighted_sum(5, linear_penalty, loose) == series.weighted_sum(5, linear_penalty, tight)
         assert series.depth == 0
         sigmas, _ = sigma_series(paper_source, paper_channel, SeriesConfig(epsilon=1e-300))
         ls = np.arange(sigmas.size)
-        assert series.sums_for(5, linear_penalty, tight) == pytest.approx(
+        assert (series.total, series.weighted_sum(5, linear_penalty, tight)) == pytest.approx(
             (sigmas.sum(), (5 + ls) @ sigmas), rel=1e-13
         )
 
@@ -165,6 +165,40 @@ class TestSigmaSeries:
         with pytest.raises(TruncationError):
             sigma_series(paper_source, paper_channel, SeriesConfig(l_cap=depth - 1))
         assert burst_chain(paper_source, paper_channel).depth == depth
+
+    @pytest.mark.parametrize("penalty", [PenaltySpec.power(1.5), PenaltySpec.from_table([0, 1, 3, 4, 6])],
+                             ids=["power1.5", "table"])
+    def test_weighted_cut_at_the_cap_is_allowed(self, paper_source, paper_channel, penalty):
+        # the weighted cut, found here on a deep walk, lies past the epsilon cut
+        delta0, cfg = 40, SeriesConfig()
+        _, first = sigma_series(paper_source, paper_channel)
+        sigmas, _ = sigma_series(paper_source, paper_channel, SeriesConfig(epsilon=1e-300))
+        weights = penalty.evaluate(delta0 + np.arange(sigmas.size, dtype=float))
+        depth = int(np.flatnonzero((sigmas < cfg.epsilon) & (weights * sigmas < cfg.weighted_epsilon))[0])
+        assert depth > first
+        burst_chain.cache_clear()
+        series = burst_chain(paper_source, paper_channel)
+        assert series.weighted_sum(delta0, penalty, SeriesConfig(l_cap=depth)) == float(
+            weights[: depth + 1] @ sigmas[: depth + 1])
+        assert series.depth == depth
+        with pytest.raises(TruncationError):
+            series.weighted_sum(delta0, penalty, SeriesConfig(l_cap=depth - 1))
+        burst_chain.cache_clear()
+        with pytest.raises(TruncationError):
+            burst_chain(paper_source, paper_channel).weighted_sum(delta0, penalty, SeriesConfig(l_cap=depth - 1))
+
+    def test_weighted_sum_evaluates_each_age_once(self, paper_source, paper_channel):
+        ages = []
+
+        class AgeCounting(CountingPenalty):
+            def evaluate(self, delta):
+                ages.append(np.array(delta, dtype=float).ravel())
+                return super().evaluate(delta)
+
+        burst_chain.cache_clear()
+        value_at(40, 4, 1.0, 3.0, paper_source, paper_channel, AgeCounting(PenaltySpec.power(1.5)))
+        seen = np.concatenate(ages)
+        assert seen.size and np.unique(seen).size == seen.size
 
     def test_one_walk_serves_every_query(self, paper_source, paper_channel, sigma_steps):
         _, depth = sigma_series(paper_source, paper_channel)

@@ -19,8 +19,9 @@ from aoii_harq import (
 
 
 def burst_weight(table, h, r):
-    """m(h, r) for r <= h, from the factored table."""
-    return float(table.m0[h - r] * table.gamma1_prefix[r])
+    """m(h, r) for r <= h, from the factored table (m0, gamma1_prefix)."""
+    m0, gamma1_prefix = table
+    return float(m0[h - r] * gamma1_prefix[r])
 
 
 # keyed by r_max for the first two, then one channel per other fold rule
@@ -65,8 +66,8 @@ class TestMTable:
 
     def test_layers_convolve_to_sigma_series(self, paper_source, paper_channel):
         sigmas, depth = sigma_series(paper_source, paper_channel)
-        table = m_table(paper_source, paper_channel, depth)
-        layers = np.convolve(table.m0, table.gamma1_prefix)[: depth + 1]
+        m0, gamma1_prefix = m_table(paper_source, paper_channel, depth)
+        layers = np.convolve(m0, gamma1_prefix)[: depth + 1]
         assert layers == pytest.approx(sigmas, rel=1e-12)
 
 
