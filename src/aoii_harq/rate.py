@@ -45,9 +45,11 @@ class RateAnalysis:
     The law stops at ``depth``, the first sigma term below ``cut.epsilon``.
     ``stationary`` maps (delta, r) to probability over the ramp and the burst
     layers h < depth, and ``stationary_arrays`` holds the same law as (delta,
-    r, probability) arrays in the same order.  The exact mass of the layers
-    from ``depth`` on is ``truncation_mass``, so the law plus it sums to one.
-    The depth, the mass and the law are each built on first read.
+    r, probability) arrays in the same order.  ``region_masses`` sums the law
+    below n0 and from n0 on from its factors, without building it.  The exact
+    mass of the layers from ``depth`` on is ``truncation_mass``, so the law
+    plus it sums to one.  The depth, the masses and the law are each built on
+    first read.
     """
 
     n0: int
@@ -74,19 +76,40 @@ class RateAnalysis:
         pref = (1.0 - self.source.mu) ** (self.n0 - 1)
         return pref * burst_chain(self.source, self.channel).tail(self.depth) / self.length
 
+    def _factors(self) -> tuple[list[float], np.ndarray, np.ndarray, int]:
+        """The law's factors: the ramp q(k, 0) for k = 0 .. n0, whose last
+        entry q(n0, 0) scales the burst layers, m_table over the layers h <
+        depth, and the number of counts that carry mass (counts past the
+        underflow of the gamma1 prefix carry none)."""
+        alpha, mu = self.source.alpha, self.source.mu
+        ramp = [self.q00]
+        ramp += [self.q00 * (1.0 - alpha) * (1.0 - mu) ** (k - 1) for k in range(1, self.n0 + 1)]
+        m0, gamma1_prefix = m_table(self.source, self.channel, max(self.depth - 1, 0))
+        return ramp, m0, gamma1_prefix, min(int(np.count_nonzero(gamma1_prefix)), self.depth)
+
+    @cached_property
+    def region_masses(self) -> tuple[float, float]:
+        """(mass below n0, mass from n0 on) of the law: the sums of
+        stationary_arrays over delta < n0 and delta >= n0.  A count r reaches
+        the layers r <= h < depth, whose inflows m(h - r, 0) sum to a prefix
+        sum of m0, so the mass from n0 on is
+        q(n0, 0) sum_r gamma1_prefix[r] sum_{j < depth - r} m0[j]."""
+        ramp, m0, gamma1_prefix, counts = self._factors()
+        layer_sums = np.cumsum(m0[: self.depth])[::-1][:counts]
+        return float(np.sum(ramp[:-1])), ramp[-1] * float(gamma1_prefix[:counts] @ layer_sums)
+
     @cached_property
     def stationary_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        alpha, mu = self.source.alpha, self.source.mu
-        ramp = [self.q00 * (1.0 - alpha) * (1.0 - mu) ** (k - 1) for k in range(1, self.n0)]
-        m0, gamma1_prefix = m_table(self.source, self.channel, max(self.depth - 1, 0))
-        # counts past the underflow of the gamma1 prefix carry no mass
-        h, r = np.tril_indices(self.depth, m=int(np.count_nonzero(gamma1_prefix)))
-        scale = self.q00 * (1.0 - alpha) * (1.0 - mu) ** (self.n0 - 1)
-        mass = scale * m0[h - r] * gamma1_prefix[r]
+        """The law as (delta, r, probability) arrays: the ramp, then the
+        layers h < depth by h and r; the zero entries are left out.  Its sums
+        over delta < n0 and delta >= n0 equal region_masses."""
+        ramp, m0, gamma1_prefix, counts = self._factors()
+        h, r = np.tril_indices(self.depth, m=counts)
+        mass = ramp[-1] * m0[h - r] * gamma1_prefix[r]
         keep = mass > 0.0
         deltas = np.concatenate((np.arange(self.n0), self.n0 + h[keep]))
         rs = np.concatenate((np.zeros(self.n0, dtype=r.dtype), r[keep]))
-        return deltas, rs, np.concatenate(([self.q00], ramp, mass[keep]))
+        return deltas, rs, np.concatenate((ramp[:-1], mass[keep]))
 
     @cached_property
     def stationary(self) -> dict[tuple[int, int], float]:

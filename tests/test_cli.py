@@ -3,12 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from aoii_harq import achieved_rate, FixedThreshold, g_wait, PenaltySpec, simulate, SourceModel
-from aoii_harq import lagrangian, model
+from aoii_harq import achieved_rate, ChannelModel, FixedThreshold, g_wait, PenaltySpec, simulate, SourceModel
+from aoii_harq import lagrangian, model, rate
 from aoii_harq.cli import main
 from aoii_harq.config import load_config, parse_config
 
@@ -231,13 +232,41 @@ class TestValidateCommand:
         assert lagrangian.burst_chain.cache_info().misses == 1
 
     def test_one_walk_per_config(self, tmp_path, sigma_steps):
-        # the sigma checks, rate analyses and stationary laws read one walk
+        # the sigma checks, rate analyses and region masses read one walk
         path = ROOT / "configs" / "example.json"
         assert main(["validate", "--config", str(path), "--out", str(tmp_path / "checks.json")]) == 0
         steps = sigma_steps[0]
         run = load_config(str(path))
         _, depth = lagrangian.sigma_series(run.source, run.channel, run.solver.series_config())
         assert steps == depth
+
+    def test_stationary_checks_build_no_stationary_law(self, tmp_path, monkeypatch):
+        def refuse(self):
+            raise RuntimeError("validate built the stationary law")
+
+        monkeypatch.setattr(rate.RateAnalysis, "stationary_arrays", property(refuse))
+        out = tmp_path / "checks.json"
+        path = ROOT / "configs" / "example.json"
+        assert main(["validate", "--config", str(path), "--seed", "5", "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "validate_example.json").read_bytes()
+
+    def test_region_masses_peak_memory(self):
+        # the largest validate_grid law: 156,085 (h, r) pairs per threshold
+        source, channel = SourceModel.from_states(0.2, 128), ChannelModel(p_e=0.9, c=0.5, r_max=2)
+
+        def peak(read):
+            tracemalloc.start()
+            try:
+                read()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        for n0 in (1, 2, 5):
+            analysis = achieved_rate(n0, source, channel)
+            assert peak(lambda: analysis.region_masses) < 1 << 20
+        # the law itself, summed the same way, would not fit under the bound
+        assert peak(lambda: analysis.stationary_arrays) > 1 << 20
 
     def test_waiting_regime_checks(self, tmp_path, capsys):
         cfg = write_config(tmp_path, source={"alpha": 0.01, "n_states": 32})

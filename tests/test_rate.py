@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from aoii_harq import (
     mixed_chain_analysis,
     sigma_series,
 )
+from aoii_harq.config import load_config
+from test_rvi import VALIDATE_POINTS
 
 
 def burst_weight(table, h, r):
@@ -31,6 +34,24 @@ CHANNELS = {
     "no-combining": dict(p_e=0.5, c=0.5, combining="none"),
     "unbounded-c=0.9": dict(p_e=0.5, c=0.9),
 }
+
+
+# the chains of the validate_grid benchmark: VALIDATE_POINTS, then the
+# waiting source of its last config
+WAITING = load_config(Path(__file__).resolve().parent.parent / "perfbench" / "configs" / "waiting_source.json")
+GRID_CHAINS = {
+    **{f"a{a}-n{n}-pe{p}-r{r}": (SourceModel.from_states(a, n), ChannelModel(p_e=p, c=0.5, r_max=r))
+       for a, n, p, r in VALIDATE_POINTS},
+    "waiting-source": (WAITING.source, WAITING.channel),
+}
+# one-state folds of the paper source: c = 1, and no combining
+FOLD_CHAINS = {
+    "c=1": (SourceModel.from_states(0.5, 16), ChannelModel(p_e=0.5, c=1.0)),
+    "no-combining": (SourceModel.from_states(0.5, 16), ChannelModel(p_e=0.5, c=0.5, combining="none")),
+}
+# about 46,000 sigma terms, while the gamma1 prefix underflows past r = 1,075
+DEEP_CHAIN = {"a0.5-mu1e-4-pe0.999-no-combining": (SourceModel(0.5, 1e-4),
+                                                   ChannelModel(p_e=0.999, c=0.5, combining="none"))}
 
 
 class TestMTable:
@@ -65,10 +86,15 @@ class TestMTable:
             assert burst_weight(table, h, r) == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
     def test_layers_convolve_to_sigma_series(self, paper_source, paper_channel):
-        sigmas, depth = sigma_series(paper_source, paper_channel)
-        m0, gamma1_prefix = m_table(paper_source, paper_channel, depth)
-        layers = np.convolve(m0, gamma1_prefix)[: depth + 1]
-        assert layers == pytest.approx(sigmas, rel=1e-12)
+        # sum_r gamma1_prefix[r] m0[h - r] = sigma_h, the identity under both
+        # the stationary law and its region masses
+        chains = {"paper": (paper_source, paper_channel), **GRID_CHAINS, **FOLD_CHAINS, **DEEP_CHAIN}
+        for name, chain in chains.items():
+            sigmas, depth = sigma_series(*chain)
+            m0, gamma1_prefix = m_table(*chain, depth)
+            # the zero tail of the prefix adds nothing
+            layers = np.convolve(m0, gamma1_prefix[: np.count_nonzero(gamma1_prefix)])[: depth + 1]
+            assert layers == pytest.approx(sigmas, rel=1e-12), name
 
 
 class TestAchievedRate:
@@ -134,6 +160,22 @@ class TestAchievedRate:
         law = analysis.stationary
         assert analysis.stationary is law
         assert max(d for d, _ in law) == 4 + analysis.depth - 1
+
+    @pytest.mark.parametrize("chain", [*GRID_CHAINS.values(), *FOLD_CHAINS.values()],
+                             ids=[*GRID_CHAINS, *FOLD_CHAINS])
+    def test_region_masses_sum_the_stationary_law(self, chain):
+        for n0 in (1, 2, 5):
+            self._assert_region_masses(achieved_rate(n0, *chain))
+
+    def test_region_masses_past_a_long_ramp(self, paper_source, paper_channel):
+        self._assert_region_masses(achieved_rate(2_000, paper_source, paper_channel))
+
+    @staticmethod
+    def _assert_region_masses(analysis):
+        deltas, _, probs = analysis.stationary_arrays
+        below, above = analysis.region_masses
+        assert abs(below - float(probs[deltas < analysis.n0].sum())) <= 1e-14
+        assert abs(above - float(probs[deltas >= analysis.n0].sum())) <= 1e-14
 
     def test_rejects_bad_threshold(self, paper_source, paper_channel):
         with pytest.raises(ValueError):
