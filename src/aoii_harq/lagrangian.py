@@ -11,7 +11,9 @@ the receiver already holds r packets, with the row deficit 1 - gamma1 - gamma2
 being the age reset that ends the burst.  The coefficients depend on r only
 through k states, so sigma_l = e0' Q^l 1 for a k x k Q, whose sums come
 exactly from (I - Q)^-1 (Kemeny & Snell, 1960, ch. III).  burst_chain keeps
-one such SigmaSeries, and one walk of its terms, per (source, channel).
+one such SigmaSeries per (source, channel), for the CHAIN_CACHE_SIZE pairs
+read last: one walk of its terms, and a memo of each threshold's cycle sums
+and step cost.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .model import gamma_arrays, settling_term
 _TIE_TOL = 1e-12
 
 N0_CEILING = 100_000  # largest threshold a search may return
+CHAIN_CACHE_SIZE = 8  # burst chains kept: the six paper figure families, plus room
 _FOLD_CEILING = 1 << 20  # most burst counts a fold may examine
 _WALK_BLOCK = 64  # fewest terms a weighted cut walks between two tests
 _SERIES_BLOCK = 8192  # terms the waiting cost sums at a time
@@ -81,7 +84,8 @@ class SigmaSeries:
     cutoff makes the epsilon cut of the series, and weighted_sum the
     penalty-weighted cut of W(delta0) = sum_l f(delta0 + l) sigma_l, which it
     sums.  The walked terms live in float64 buffers that double in size as
-    the walk grows; queries read views of them, never copies.
+    the walk grows; queries read views of them, never copies.  sums and
+    steps memoize cycle_sums and step_cost, keyed by (n0, penalty, cut).
     """
 
     def __init__(self, source, channel):
@@ -118,6 +122,8 @@ class SigmaSeries:
         self._sigma, self._m0, self._tail = np.empty(64), np.empty(64), np.empty(64)
         self._sigma[0], self._m0[0], self._tail[0] = 1.0, 1.0, self._v @ x
         self._size = 1
+        self.sums: dict[tuple, tuple[float, float, float]] = {}
+        self.steps: dict[tuple, float] = {}
 
     @property
     def depth(self) -> int:
@@ -205,10 +211,18 @@ class SigmaSeries:
         return float(f[: depth + 1] @ self._sigma[: depth + 1])
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=CHAIN_CACHE_SIZE)
 def burst_chain(source, channel) -> SigmaSeries:
-    """The one SigmaSeries of (source, channel), shared by every caller."""
+    """The one SigmaSeries of (source, channel), shared by every caller; the
+    CHAIN_CACHE_SIZE pairs read last keep theirs, each its k-state arrays, 3
+    float64 per walked term and its memo.  No answer depends on what is
+    cached: a cut is the first term that passes its test."""
     return SigmaSeries(source, channel)
+
+
+def _memo_key(n0: int, penalty, cfg: SeriesConfig) -> tuple:
+    """Key of n0's sums in a chain's memo; linear sums read no cut."""
+    return (n0, penalty, None if getattr(penalty, "kind", None) == "linear" else cfg)
 
 
 def sigma_series(source, channel, cfg: SeriesConfig = SeriesConfig()) -> tuple[np.ndarray, int]:
@@ -233,10 +247,19 @@ def cycle_sums(
         C = f(0)/(1-a) + sum_{i<n0-1} (1-m)^i f(i+1) + P sum_l f(n0+l) sigma_l
 
     By renewal reward the rate is T/L and the average priced cost (C+lam T)/L.
+    Memoized on the chain.
     """
     if n0 < 1:
         raise ValueError(f"threshold must be >= 1, got {n0}")
     series = burst_chain(source, channel)
+    key = _memo_key(n0, penalty, cfg)
+    sums = series.sums.get(key)
+    if sums is None:
+        sums = series.sums[key] = _cycle_sums(n0, series, source, penalty, cfg)
+    return sums
+
+
+def _cycle_sums(n0, series, source, penalty, cfg) -> tuple[float, float, float]:
     weighted = series.weighted_sum(n0, penalty, cfg)
     alpha, mu = source.alpha, source.mu
     omm = 1.0 - mu
@@ -317,8 +340,17 @@ def step_cost(
     S = sum_l sigma_l: one more waiting slot, at penalty f(n0), before the
     burst starts one age later.  D is the one comparison of n0 with n0 + 1
     that both the threshold search and the solve's tie prices read.
+    Memoized on the chain.
     """
     series = burst_chain(source, channel)
+    key = _memo_key(n0, penalty, cfg)
+    step = series.steps.get(key)
+    if step is None:
+        step = series.steps[key] = _step_cost(n0, series, source, penalty, cfg)
+    return step
+
+
+def _step_cost(n0, series, source, penalty, cfg) -> float:
     w_lo = series.weighted_sum(n0, penalty, cfg)
     w_hi = series.weighted_sum(n0 + 1, penalty, cfg)
     return penalty(n0) + (1.0 - source.mu) * w_hi - w_lo

@@ -25,6 +25,7 @@ for the certificate and for the waiting cost's series alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,6 +37,7 @@ BOUNDEDNESS_L_CAP = 1_000_000  # a series not settled by this term is refused
 # term indices at which settling_term tests the settle rule past a table's
 # head: geometric from 1 to BOUNDEDNESS_L_CAP, 39 distinct
 _PROBES = np.array(sorted({round(BOUNDEDNESS_L_CAP ** (k / 39)) for k in range(40)}), dtype=float)
+SETTLE_CACHE_SIZE = 32  # settle rules kept: a few penalties on each cached chain
 
 
 @dataclass(frozen=True)
@@ -249,6 +251,7 @@ def gamma_arrays(source: SourceModel, channel, n: int) -> tuple[np.ndarray, np.n
     return masses[3], g2
 
 
+@lru_cache(maxsize=SETTLE_CACHE_SIZE)
 def settling_term(penalty, q: float, start: int, tol: float, l_cap: int) -> int | None:
     """Index l <= ``l_cap`` of a term of t_l = f(l+1) q^l, l >= ``start``, that
     settles: is 0, or is below ``tol`` and below t_{l-1} (t_{start-1}
@@ -269,7 +272,8 @@ def settling_term(penalty, q: float, start: int, tol: float, l_cap: int) -> int 
     between them and tested with its predecessor, so a steep power whose
     terms settle shortly before f overflows settles, and one whose terms
     overflow before they settle does not.  f is evaluated with numpy's
-    overflow warnings off.
+    overflow warnings off.  The rule is pure in its arguments, so the
+    SETTLE_CACHE_SIZE latest are memoized.
     """
 
     def terms(ls):  # ls: float ages

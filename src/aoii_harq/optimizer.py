@@ -100,6 +100,9 @@ def solve_cmdp(
     between the tie prices of (n_low - 1, n_low), -inf when n_low = 1, and
     (n_high, n_high + 1), so both thresholds are Lagrange optimal at lambda*;
     and the mixture's rate must meet R to within 1e-9.
+    diagnostics["certificate"] of a mixed solve holds what was checked: the
+    tie prices "tie_below" and "tie_above", "lambda_star", and "budget_gap",
+    the predicted rate minus R.
     diagnostics["lambda_trace"] holds one (lambda, n0, rate) entry per
     threshold evaluated, lambda being the price at which n0 ties with n0 + 1
     (0 for the unconstrained threshold), from ``tie_price``.
@@ -130,13 +133,10 @@ def solve_cmdp(
             diagnostics={"lambda_trace": (), "lambda_iterations": 0},
         )
 
-    sums: dict[int, tuple[float, float, float]] = {}
     ties: dict[int, float] = {}
 
     def cycle(n0: int) -> tuple[float, float, float]:
-        if n0 not in sums:
-            sums[n0] = cycle_sums(n0, source, channel, penalty, cfg)
-        return sums[n0]
+        return cycle_sums(n0, source, channel, penalty, cfg)
 
     def tie(n0: int) -> float:
         if n0 not in ties:
@@ -147,12 +147,12 @@ def solve_cmdp(
         length, transmissions, _ = cycle(n0)
         return transmissions / length
 
-    def diagnostics() -> dict:
-        return {"lambda_trace": tuple(trace), "lambda_iterations": len(trace)}
+    def diagnostics(**extra) -> dict:
+        return {"lambda_trace": tuple(trace), "lambda_iterations": len(trace), **extra}
 
     n_zero = optimal_threshold(0.0, source, channel, penalty, cfg)
     trace = [(0.0, n_zero, rate(n_zero))]
-    if rate(n_zero) <= R:
+    if trace[0][2] <= R:
         length, _, cost = cycle(n_zero)
         rate_zero = achieved_rate(n_zero, source, channel, cfg).rate
         return CmdpSolution(
@@ -170,7 +170,7 @@ def solve_cmdp(
 
     def feasible(n0: int) -> bool:
         trace.append((tie(n0), n0, rate(n0)))
-        return rate(n0) <= R
+        return trace[-1][2] <= R
 
     # the rate falls strictly in n0, so feasibility is monotone
     n_high = least_true(feasible, n_zero)
@@ -185,8 +185,9 @@ def solve_cmdp(
         )
     _check_trace(trace)
     # budget excess e = T - R L of each threshold; the mixture's is linear in rho
-    excess_low = cycle(n_low)[1] - R * cycle(n_low)[0]
-    excess_high = cycle(n_high)[1] - R * cycle(n_high)[0]
+    (length_low, transmissions_low, _), (length_high, transmissions_high, _) = cycle(n_low), cycle(n_high)
+    excess_low = transmissions_low - R * length_low
+    excess_high = transmissions_high - R * length_high
     rho_high = excess_low / (excess_low - excess_high)
     predicted_rate, predicted_aoii = mixed_chain_analysis(n_low, rho_high, source, channel, penalty, cfg)
     if not abs(predicted_rate - R) <= _BUDGET_TOL:
@@ -201,5 +202,8 @@ def solve_cmdp(
         rate_low=achieved_rate(n_low, source, channel, cfg).rate,
         predicted_rate=predicted_rate,
         predicted_aoii=predicted_aoii,
-        diagnostics=diagnostics(),
+        diagnostics=diagnostics(certificate={
+            "tie_below": below, "lambda_star": lambda_star, "tie_above": above,
+            "budget_gap": predicted_rate - R,
+        }),
     )

@@ -24,6 +24,8 @@ import numpy as np
 from .lagrangian import SeriesConfig, burst_chain, cycle_sums
 from .model import PenaltySpec
 
+_LINEAR = PenaltySpec.linear()  # the rate reads L and T, which no penalty changes
+
 
 def m_table(source, channel, h_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Burst weights m(h, r) = m0[h - r] * gamma1_prefix[r] for r <= h <= h_max
@@ -120,7 +122,7 @@ class RateAnalysis:
 def achieved_rate(n0: int, source, channel, cfg: SeriesConfig = SeriesConfig()) -> RateAnalysis:
     """Exact transmission rate T/L of the threshold-n0 policy; its stationary
     law stops at the first sigma term below cfg.epsilon."""
-    length, transmissions, _ = cycle_sums(n0, source, channel, PenaltySpec.linear())
+    length, transmissions, _ = cycle_sums(n0, source, channel, _LINEAR)
     return RateAnalysis(n0, length, transmissions, cfg, source, channel)
 
 

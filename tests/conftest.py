@@ -8,6 +8,14 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from aoii_harq import ChannelModel, PenaltySpec, SourceModel
 from aoii_harq.lagrangian import SigmaSeries, burst_chain
+from aoii_harq.model import settling_term
+
+
+@pytest.fixture(autouse=True)
+def _cold_caches():
+    """Every test starts with no cached burst chain, chain memo or settle rule."""
+    burst_chain.cache_clear()
+    settling_term.cache_clear()
 
 
 @pytest.fixture
@@ -68,7 +76,7 @@ def zero_penalty():
 
 @pytest.fixture
 def sigma_steps(monkeypatch):
-    """Counts SigmaSeries.step calls (list of one int) from a cleared chain cache."""
+    """Counts SigmaSeries.step calls (list of one int)."""
     count = [0]
     step = SigmaSeries.step
 
@@ -77,5 +85,4 @@ def sigma_steps(monkeypatch):
         step(self)
 
     monkeypatch.setattr(SigmaSeries, "step", counted)
-    burst_chain.cache_clear()
     return count

@@ -226,7 +226,6 @@ class TestValidateCommand:
             assert check["tolerance"] == pytest.approx(3.0 * max(iid_se, report.rate_stderr), rel=1e-12)
 
     def test_one_chain_per_config(self, tmp_path):
-        lagrangian.burst_chain.cache_clear()
         assert main(["validate", "--config", str(ROOT / "configs" / "example.json"),
                      "--out", str(tmp_path / "checks.json")]) == 0
         assert lagrangian.burst_chain.cache_info().misses == 1
@@ -420,6 +419,8 @@ class TestGoldenOutputs:
         # a table penalty and d**1.5: weighted cuts past the epsilon cut
         ("solve_paper_table.txt", "solve", "tests/golden/paper_table.json", []),
         ("solve_paper_power1.5.txt", "solve", "tests/golden/paper_power1.5.json", []),
+        # d**1.5 over a budget grid: one process solves the paper chain five times
+        ("sweep_paper_power1.5.csv", "sweep", "tests/golden/sweep_paper_power1.5.json", []),
         # d**2 on the waiting source: the waiting cost sums to a settled probe
         ("wait-aoii_waiting_source_power2.txt", "wait-aoii", "tests/golden/waiting_source_power2.json", []),
         ("solve_waiting_source_power2.txt", "solve", "tests/golden/waiting_source_power2.json", []),

@@ -111,7 +111,6 @@ class TestSigmaSeries:
         assert np.array_equal(g1[:-1], full1[: g1.size - 1]) and np.array_equal(g2, full2[: g1.size])
 
     def test_fold_ceiling_reported(self, monkeypatch):
-        burst_chain.cache_clear()
         monkeypatch.setattr(lagrangian, "_FOLD_CEILING", 64)
         with pytest.raises(TruncationError):
             burst_chain(SourceModel(alpha=0.5, mu=1 / 30), ChannelModel(p_e=0.5, c=0.99))
@@ -124,7 +123,6 @@ class TestSigmaSeries:
         assert series.gamma1 is burst_chain(paper_source, paper_channel).gamma1
 
     def test_exact_sums_ignore_the_series_controls(self, paper_source, paper_channel, linear_penalty):
-        burst_chain.cache_clear()
         series = burst_chain(paper_source, paper_channel)
         loose, tight = SeriesConfig(1e-2, 1e-2, l_cap=1), SeriesConfig(1e-15, 1e-15)
         assert series.weighted_sum(5, linear_penalty, loose) == series.weighted_sum(5, linear_penalty, tight)
@@ -140,7 +138,6 @@ class TestSigmaSeries:
             sigma_series(paper_source, paper_channel, SeriesConfig(epsilon=1e-12, l_cap=5))
 
     def test_answers_do_not_depend_on_the_walk_so_far(self, paper_source, paper_channel):
-        burst_chain.cache_clear()
         power = PenaltySpec.power(1.5)
         sigmas, depth = sigma_series(paper_source, paper_channel)
         analysis = achieved_rate(4, paper_source, paper_channel)
@@ -195,7 +192,6 @@ class TestSigmaSeries:
                 ages.append(np.array(delta, dtype=float).ravel())
                 return super().evaluate(delta)
 
-        burst_chain.cache_clear()
         value_at(40, 4, 1.0, 3.0, paper_source, paper_channel, AgeCounting(PenaltySpec.power(1.5)))
         seen = np.concatenate(ages)
         assert seen.size and np.unique(seen).size == seen.size

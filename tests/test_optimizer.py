@@ -7,8 +7,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
+from test_acceptance import FIGURE_CONFIGS
 
-from aoii_harq import lagrangian, optimizer
+from aoii_harq import lagrangian, model, optimizer
 from aoii_harq import (
     BoundednessError,
     ChannelModel,
@@ -22,6 +23,7 @@ from aoii_harq import (
     SeriesConfig,
     SolverError,
     SourceModel,
+    TruncationError,
     g_for_threshold,
     g_wait,
     mixed_chain_analysis,
@@ -167,7 +169,6 @@ class TestSolveCmdp:
     @pytest.mark.parametrize("budget, regime", [(0.2, REGIME_MIXED), (1.0, REGIME_PURE_THRESHOLD)])
     def test_one_fold_serves_the_search(self, paper_source, paper_channel, linear_penalty, budget, regime):
         # the search, its certificate and every rate analysis share one chain
-        lagrangian.burst_chain.cache_clear()
         assert solve_cmdp(budget, paper_source, paper_channel, linear_penalty).regime == regime
         assert lagrangian.burst_chain.cache_info().misses == 1
 
@@ -204,6 +205,114 @@ class TestSolveCmdp:
         for bad in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError):
                 solve_cmdp(bad, paper_source, paper_channel, linear_penalty)
+
+
+PENALTIES = {"linear": PenaltySpec.linear(), "power1.5": PenaltySpec.power(1.5),
+             "table": PenaltySpec.from_table([0, 1, 3, 4, 6])}
+FIGURE_BUDGETS = (0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5, 0.65, 0.8, 0.95)
+
+
+def figure_model(name):
+    alpha, n_states, p_e, c, r_max = FIGURE_CONFIGS[name]
+    return SourceModel.from_states(alpha, n_states), ChannelModel(p_e=p_e, c=c, r_max=r_max)
+
+
+def clear_caches():
+    lagrangian.burst_chain.cache_clear()
+    model.settling_term.cache_clear()
+
+
+class TestChainCache:
+    """Burst chains, their memo of cycle sums and step costs, and the settle
+    rule persist across solves; no answer depends on them."""
+
+    def test_warm_solves_equal_cold_ones(self):
+        # the figure families interleaved budget by budget, as a sweep of
+        # several curves reads them
+        cases = [(name, penalty, budget) for budget in FIGURE_BUDGETS
+                 for name in FIGURE_CONFIGS for penalty in PENALTIES]
+        warm = [solve_cmdp(budget, *figure_model(name), PENALTIES[penalty]) for name, penalty, budget in cases]
+        assert lagrangian.burst_chain.cache_info().misses == len(FIGURE_CONFIGS)
+        for (name, penalty, budget), sol in zip(cases, warm):
+            clear_caches()
+            assert sol == solve_cmdp(budget, *figure_model(name), PENALTIES[penalty]), (name, penalty, budget)
+        assert {sol.regime for sol in warm} == {REGIME_MIXED, REGIME_PURE_THRESHOLD}
+
+    def test_alternating_pairs_build_two_chains(self, linear_penalty):
+        pairs = [figure_model("fig3"), figure_model("fig4")]
+        for budget in FIGURE_BUDGETS:
+            for source, channel in pairs:
+                solve_cmdp(budget, source, channel, linear_penalty)
+        assert lagrangian.burst_chain.cache_info().misses == 2
+
+    def test_cache_keeps_its_bound(self, paper_channel, linear_penalty):
+        size = lagrangian.CHAIN_CACHE_SIZE
+        for alpha in np.linspace(0.3, 0.9, size + 3):
+            solve_cmdp(0.2, SourceModel.from_states(float(alpha), 16), paper_channel, linear_penalty)
+        info = lagrangian.burst_chain.cache_info()
+        assert (info.misses, info.currsize, info.maxsize) == (size + 3, size, size)
+
+    @pytest.mark.parametrize("penalty", PENALTIES.values(), ids=PENALTIES.keys())
+    @pytest.mark.parametrize("alpha, budget, regime", [
+        (0.01, 0.2, REGIME_NEVER_TRANSMIT), (0.5, 1.0, REGIME_PURE_THRESHOLD), (0.5, 0.2, REGIME_MIXED),
+    ])
+    def test_repeat_solve_computes_nothing_again(self, monkeypatch, paper_channel, penalty, alpha, budget, regime):
+        source = SourceModel.from_states(alpha, 16)
+        first = solve_cmdp(budget, source, paper_channel, penalty)
+        assert first.regime == regime
+        computed = []
+
+        def counted(name, compute):
+            def wrapper(*args, **kwargs):
+                computed.append(name)
+                return compute(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(lagrangian, "_cycle_sums", counted("cycle sums", lagrangian._cycle_sums))
+        monkeypatch.setattr(lagrangian, "_step_cost", counted("step cost", lagrangian._step_cost))
+        monkeypatch.setattr(lagrangian.SigmaSeries, "weighted_sum",
+                            counted("W", lagrangian.SigmaSeries.weighted_sum))
+        settled = model.settling_term.cache_info().misses
+        assert solve_cmdp(budget, source, paper_channel, penalty) == first
+        assert computed == []
+        assert model.settling_term.cache_info().misses == settled
+
+    def test_linear_sums_read_no_cut(self, paper_source, paper_channel, linear_penalty):
+        exact = lagrangian.cycle_sums(5, paper_source, paper_channel, linear_penalty)
+        loose = lagrangian.cycle_sums(5, paper_source, paper_channel, linear_penalty, SeriesConfig(l_cap=1))
+        assert loose is exact
+
+    def test_a_cached_cut_serves_no_other_cut(self, paper_source, paper_channel):
+        # a weighted cut past the cap is refused even when a looser cap has
+        # already cut, walked and memoized the same threshold
+        penalty = PenaltySpec.power(1.5)
+        assert solve_cmdp(0.2, paper_source, paper_channel, penalty).regime == REGIME_MIXED
+        with pytest.raises(TruncationError):
+            solve_cmdp(0.2, paper_source, paper_channel, penalty, SeriesConfig(l_cap=5))
+
+
+class TestSolveCertificate:
+    @pytest.mark.parametrize("penalty", PENALTIES.values(), ids=PENALTIES.keys())
+    @pytest.mark.parametrize("name", FIGURE_CONFIGS)
+    def test_mixed_solve_reports_its_certificate(self, name, penalty):
+        mixed = 0
+        for budget in FIGURE_BUDGETS:
+            sol = solve_cmdp(budget, *figure_model(name), penalty)
+            if sol.regime != REGIME_MIXED:
+                assert "certificate" not in sol.diagnostics
+                continue
+            mixed += 1
+            cert = sol.diagnostics["certificate"]
+            assert cert["tie_below"] < cert["lambda_star"] < cert["tie_above"]
+            assert cert["lambda_star"] == sol.lambda_star
+            assert cert["budget_gap"] == sol.predicted_rate - budget
+            assert abs(cert["budget_gap"]) <= 1e-9
+        assert mixed
+
+    def test_first_threshold_has_no_lower_tie(self, paper_source, paper_channel, linear_penalty):
+        sol = solve_cmdp(0.6, paper_source, paper_channel, linear_penalty)
+        assert sol.regime == REGIME_MIXED and sol.n_low == 1
+        assert sol.diagnostics["certificate"]["tie_below"] == -math.inf
 
 
 def exact_mixed_solve(source, channel, k, budget, n_low):
