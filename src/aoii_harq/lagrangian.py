@@ -12,8 +12,8 @@ being the age reset that ends the burst.  The coefficients depend on r only
 through k states, so sigma_l = e0' Q^l 1 for a k x k Q, whose sums come
 exactly from (I - Q)^-1 (Kemeny & Snell, 1960, ch. III).  burst_chain keeps
 one such SigmaSeries per (source, channel), for the CHAIN_CACHE_SIZE pairs
-read last: one walk of its terms, and a memo of each threshold's cycle sums
-and step cost.
+read last: one walk of its terms, and a memo of up to MEMO_SIZE thresholds'
+cycle sums and step costs.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from .model import gamma_arrays, settling_term
 _TIE_TOL = 1e-12
 
 N0_CEILING = 100_000  # largest threshold a search may return
-CHAIN_CACHE_SIZE = 8  # burst chains kept: the six paper figure families, plus room
+CHAIN_CACHE_SIZE = 8  # burst chains kept: a CLI command reads one, interleaved figure curves six
+MEMO_SIZE = 4096  # entries a chain's memo holds before it starts over, about 200 B each
 _FOLD_CEILING = 1 << 20  # most burst counts a fold may examine
 _WALK_BLOCK = 64  # fewest terms a weighted cut walks between two tests
 _SERIES_BLOCK = 8192  # terms the waiting cost sums at a time
@@ -84,8 +85,8 @@ class SigmaSeries:
     cutoff makes the epsilon cut of the series, and weighted_sum the
     penalty-weighted cut of W(delta0) = sum_l f(delta0 + l) sigma_l, which it
     sums.  The walked terms live in float64 buffers that double in size as
-    the walk grows; queries read views of them, never copies.  sums and
-    steps memoize cycle_sums and step_cost, keyed by (n0, penalty, cut).
+    the walk grows; queries read views of them, never copies.  memoized
+    keeps each threshold's cycle sums and step cost, up to MEMO_SIZE entries.
     """
 
     def __init__(self, source, channel):
@@ -122,8 +123,19 @@ class SigmaSeries:
         self._sigma, self._m0, self._tail = np.empty(64), np.empty(64), np.empty(64)
         self._sigma[0], self._m0[0], self._tail[0] = 1.0, 1.0, self._v @ x
         self._size = 1
-        self.sums: dict[tuple, tuple[float, float, float]] = {}
-        self.steps: dict[tuple, float] = {}
+        self.memo: dict[tuple, object] = {}
+
+    def memoized(self, quantity: str, compute, n0: int, source, penalty, cfg: SeriesConfig):
+        """compute(n0, self, source, penalty, cfg), once per (quantity, n0,
+        penalty, cut); a linear penalty's sums read no cut, so its key has none.
+        A full memo is emptied: compute is pure, so only the time differs."""
+        key = (quantity, n0, penalty, None if getattr(penalty, "kind", None) == "linear" else cfg)
+        value = self.memo.get(key)
+        if value is None:
+            if len(self.memo) >= MEMO_SIZE:
+                self.memo.clear()
+            value = self.memo[key] = compute(n0, self, source, penalty, cfg)
+        return value
 
     @property
     def depth(self) -> int:
@@ -215,14 +227,9 @@ class SigmaSeries:
 def burst_chain(source, channel) -> SigmaSeries:
     """The one SigmaSeries of (source, channel), shared by every caller; the
     CHAIN_CACHE_SIZE pairs read last keep theirs, each its k-state arrays, 3
-    float64 per walked term and its memo.  No answer depends on what is
-    cached: a cut is the first term that passes its test."""
+    float64 per walked term and at most MEMO_SIZE memo entries.  No answer
+    depends on what is cached: a cut is the first term that passes its test."""
     return SigmaSeries(source, channel)
-
-
-def _memo_key(n0: int, penalty, cfg: SeriesConfig) -> tuple:
-    """Key of n0's sums in a chain's memo; linear sums read no cut."""
-    return (n0, penalty, None if getattr(penalty, "kind", None) == "linear" else cfg)
 
 
 def sigma_series(source, channel, cfg: SeriesConfig = SeriesConfig()) -> tuple[np.ndarray, int]:
@@ -251,12 +258,7 @@ def cycle_sums(
     """
     if n0 < 1:
         raise ValueError(f"threshold must be >= 1, got {n0}")
-    series = burst_chain(source, channel)
-    key = _memo_key(n0, penalty, cfg)
-    sums = series.sums.get(key)
-    if sums is None:
-        sums = series.sums[key] = _cycle_sums(n0, series, source, penalty, cfg)
-    return sums
+    return burst_chain(source, channel).memoized("sums", _cycle_sums, n0, source, penalty, cfg)
 
 
 def _cycle_sums(n0, series, source, penalty, cfg) -> tuple[float, float, float]:
@@ -342,12 +344,7 @@ def step_cost(
     that both the threshold search and the solve's tie prices read.
     Memoized on the chain.
     """
-    series = burst_chain(source, channel)
-    key = _memo_key(n0, penalty, cfg)
-    step = series.steps.get(key)
-    if step is None:
-        step = series.steps[key] = _step_cost(n0, series, source, penalty, cfg)
-    return step
+    return burst_chain(source, channel).memoized("step", _step_cost, n0, source, penalty, cfg)
 
 
 def _step_cost(n0, series, source, penalty, cfg) -> float:

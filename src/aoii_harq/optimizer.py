@@ -133,18 +133,11 @@ def solve_cmdp(
             diagnostics={"lambda_trace": (), "lambda_iterations": 0},
         )
 
-    ties: dict[int, float] = {}
-
-    def cycle(n0: int) -> tuple[float, float, float]:
-        return cycle_sums(n0, source, channel, penalty, cfg)
-
     def tie(n0: int) -> float:
-        if n0 not in ties:
-            ties[n0] = tie_price(n0, cycle(n0), source, channel, penalty, cfg)
-        return ties[n0]
+        return tie_price(n0, cycle_sums(n0, source, channel, penalty, cfg), source, channel, penalty, cfg)
 
     def rate(n0: int) -> float:
-        length, transmissions, _ = cycle(n0)
+        length, transmissions, _ = cycle_sums(n0, source, channel, penalty, cfg)
         return transmissions / length
 
     def diagnostics(**extra) -> dict:
@@ -153,7 +146,7 @@ def solve_cmdp(
     n_zero = optimal_threshold(0.0, source, channel, penalty, cfg)
     trace = [(0.0, n_zero, rate(n_zero))]
     if trace[0][2] <= R:
-        length, _, cost = cycle(n_zero)
+        length, _, cost = cycle_sums(n_zero, source, channel, penalty, cfg)
         rate_zero = achieved_rate(n_zero, source, channel, cfg).rate
         return CmdpSolution(
             regime=REGIME_PURE_THRESHOLD,
@@ -185,7 +178,8 @@ def solve_cmdp(
         )
     _check_trace(trace)
     # budget excess e = T - R L of each threshold; the mixture's is linear in rho
-    (length_low, transmissions_low, _), (length_high, transmissions_high, _) = cycle(n_low), cycle(n_high)
+    length_low, transmissions_low, _ = cycle_sums(n_low, source, channel, penalty, cfg)
+    length_high, transmissions_high, _ = cycle_sums(n_high, source, channel, penalty, cfg)
     excess_low = transmissions_low - R * length_low
     excess_high = transmissions_high - R * length_high
     rho_high = excess_low / (excess_low - excess_high)

@@ -252,6 +252,14 @@ class TestChainCache:
         info = lagrangian.burst_chain.cache_info()
         assert (info.misses, info.currsize, info.maxsize) == (size + 3, size, size)
 
+    def test_memo_keeps_its_bound(self, monkeypatch, paper_source, paper_channel, linear_penalty):
+        monkeypatch.setattr(lagrangian, "MEMO_SIZE", 16)
+        first = [lagrangian.cycle_sums(n0, paper_source, paper_channel, linear_penalty) for n0 in range(1, 41)]
+        memo = lagrangian.burst_chain(paper_source, paper_channel).memo
+        assert 0 < len(memo) <= 16
+        assert [lagrangian.cycle_sums(n0, paper_source, paper_channel, linear_penalty) for n0 in range(1, 41)] == first
+        assert len(memo) <= 16
+
     @pytest.mark.parametrize("penalty", PENALTIES.values(), ids=PENALTIES.keys())
     @pytest.mark.parametrize("alpha, budget, regime", [
         (0.01, 0.2, REGIME_NEVER_TRANSMIT), (0.5, 1.0, REGIME_PURE_THRESHOLD), (0.5, 0.2, REGIME_MIXED),
