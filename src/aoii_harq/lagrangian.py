@@ -12,8 +12,9 @@ being the age reset that ends the burst.  The coefficients depend on r only
 through k states, so sigma_l = e0' Q^l 1 for a k x k Q, whose sums come
 exactly from (I - Q)^-1 (Kemeny & Snell, 1960, ch. III).  burst_chain keeps
 one such SigmaSeries per (source, channel), for the CHAIN_CACHE_SIZE pairs
-read last: one walk of its terms, and a memo of up to MEMO_SIZE thresholds'
-cycle sums and step costs.
+read last: one walk of its terms, and one ChainTable per (penalty, cut) of
+the W(delta0), cycle sums and step costs computed, at most MEMO_SIZE entries
+in all.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ _TIE_TOL = 1e-12
 
 N0_CEILING = 100_000  # largest threshold a search may return
 CHAIN_CACHE_SIZE = 8  # burst chains kept: a CLI command reads one, interleaved figure curves six
-MEMO_SIZE = 4096  # entries a chain's memo holds before it starts over, about 200 B each
+MEMO_SIZE = 4096  # entries a chain's tables hold together before they start over, 100-200 B each
 _FOLD_CEILING = 1 << 20  # most burst counts a fold may examine
 _WALK_BLOCK = 64  # fewest terms a weighted cut walks between two tests
 _SERIES_BLOCK = 8192  # terms the waiting cost sums at a time
@@ -85,8 +86,9 @@ class SigmaSeries:
     cutoff makes the epsilon cut of the series, and weighted_sum the
     penalty-weighted cut of W(delta0) = sum_l f(delta0 + l) sigma_l, which it
     sums.  The walked terms live in float64 buffers that double in size as
-    the walk grows; queries read views of them, never copies.  memoized
-    keeps each threshold's cycle sums and step cost, up to MEMO_SIZE entries.
+    the walk grows; queries read views of them, never copies.  table gives
+    the memo of one (penalty, cut), read and filled by cycle_sums, step_cost,
+    tie_price and weighted.  mu_s is mu S, for S = sum_l sigma_l.
     """
 
     def __init__(self, source, channel):
@@ -123,19 +125,54 @@ class SigmaSeries:
         self._sigma, self._m0, self._tail = np.empty(64), np.empty(64), np.empty(64)
         self._sigma[0], self._m0[0], self._tail[0] = 1.0, 1.0, self._v @ x
         self._size = 1
-        self.memo: dict[tuple, object] = {}
+        self.source, self.mu_s = source, source.mu * self.total
+        self.tables: dict[tuple, ChainTable] = {}
+        self._entries = 0
 
-    def memoized(self, quantity: str, compute, n0: int, source, penalty, cfg: SeriesConfig):
-        """compute(n0, self, source, penalty, cfg), once per (quantity, n0,
-        penalty, cut); a linear penalty's sums read no cut, so its key has none.
-        A full memo is emptied: compute is pure, so only the time differs."""
-        key = (quantity, n0, penalty, None if getattr(penalty, "kind", None) == "linear" else cfg)
-        value = self.memo.get(key)
+    def table(self, penalty, cfg: SeriesConfig) -> "ChainTable":
+        """The memo of (penalty, cut); a linear penalty's sums read no cut, so
+        its key has none."""
+        key = (penalty, None if getattr(penalty, "kind", None) == "linear" else cfg)
+        table = self.tables.get(key)
+        if table is None:
+            table = self.tables[key] = ChainTable(key, penalty, cfg)
+        return table
+
+    def _read(self, table: "ChainTable", quantity: str, compute, n0: int):
+        """table's (quantity, n0) entry, compute(n0, self, table) once.  At
+        MEMO_SIZE entries all tables are emptied and forgotten, table kept:
+        they hold pure values, so only the time differs."""
+        value = table.get((quantity, n0))
         if value is None:
-            if len(self.memo) >= MEMO_SIZE:
-                self.memo.clear()
-            value = self.memo[key] = compute(n0, self, source, penalty, cfg)
+            value = compute(n0, self, table)
+            if self._entries >= MEMO_SIZE:
+                for held in self.tables.values():
+                    held.clear()
+                table.clear()
+                self.tables = {table.key: table}
+                self._entries = 0
+            self._entries += 1
+            table[quantity, n0] = value
         return value
+
+    def weighted(self, table: "ChainTable", delta0: int) -> float:
+        """weighted_sum(delta0) of table's penalty and cut."""
+        return self._read(table, "W", _weighted, delta0)
+
+    def cycle_sums(self, table: "ChainTable", n0: int) -> tuple[float, float, float]:
+        """The module's ``cycle_sums`` of n0, on table."""
+        return self._read(table, "sums", _cycle_sums, n0)
+
+    def step_cost(self, table: "ChainTable", n0: int) -> float:
+        """The module's ``step_cost`` of n0, on table."""
+        return self._read(table, "step", _step_cost, n0)
+
+    def tie_price(self, table: "ChainTable", n0: int, sums) -> float:
+        """The module's ``tie_price`` of n0 and its sums, on table."""
+        length, transmissions, cost = sums
+        mu_s = self.mu_s
+        step = self.step_cost(table, n0)
+        return (step * length - (1.0 - mu_s) * cost) / (mu_s * length + (1.0 - mu_s) * transmissions)
 
     @property
     def depth(self) -> int:
@@ -223,11 +260,27 @@ class SigmaSeries:
         return float(f[: depth + 1] @ self._sigma[: depth + 1])
 
 
+class ChainTable(dict):
+    """The memo of one (penalty, cut) on a chain: W(delta0), the cycle sums
+    and the step cost, keyed by (quantity, n0).  It holds no reference to
+    its chain, so an evicted chain is freed at once."""
+
+    __slots__ = ("key", "penalty", "cfg")
+
+    def __init__(self, key: tuple, penalty, cfg: SeriesConfig):
+        super().__init__()
+        self.key, self.penalty, self.cfg = key, penalty, cfg
+
+
+def _weighted(delta0, series, table) -> float:
+    return series.weighted_sum(delta0, table.penalty, table.cfg)
+
+
 @lru_cache(maxsize=CHAIN_CACHE_SIZE)
 def burst_chain(source, channel) -> SigmaSeries:
     """The one SigmaSeries of (source, channel), shared by every caller; the
     CHAIN_CACHE_SIZE pairs read last keep theirs, each its k-state arrays, 3
-    float64 per walked term and at most MEMO_SIZE memo entries.  No answer
+    float64 per walked term and at most MEMO_SIZE table entries.  No answer
     depends on what is cached: a cut is the first term that passes its test."""
     return SigmaSeries(source, channel)
 
@@ -254,16 +307,18 @@ def cycle_sums(
         C = f(0)/(1-a) + sum_{i<n0-1} (1-m)^i f(i+1) + P sum_l f(n0+l) sigma_l
 
     By renewal reward the rate is T/L and the average priced cost (C+lam T)/L.
-    Memoized on the chain.
+    Memoized on the chain's table.
     """
     if n0 < 1:
         raise ValueError(f"threshold must be >= 1, got {n0}")
-    return burst_chain(source, channel).memoized("sums", _cycle_sums, n0, source, penalty, cfg)
+    series = burst_chain(source, channel)
+    return series.cycle_sums(series.table(penalty, cfg), n0)
 
 
-def _cycle_sums(n0, series, source, penalty, cfg) -> tuple[float, float, float]:
-    weighted = series.weighted_sum(n0, penalty, cfg)
-    alpha, mu = source.alpha, source.mu
+def _cycle_sums(n0, series, table) -> tuple[float, float, float]:
+    penalty = table.penalty
+    weighted = series.weighted(table, n0)
+    alpha, mu = series.source.alpha, series.source.mu
     omm = 1.0 - mu
     if n0 > 1:
         i = np.arange(n0 - 1, dtype=float)
@@ -342,15 +397,16 @@ def step_cost(
     S = sum_l sigma_l: one more waiting slot, at penalty f(n0), before the
     burst starts one age later.  D is the one comparison of n0 with n0 + 1
     that both the threshold search and the solve's tie prices read.
-    Memoized on the chain.
+    Memoized on the chain's table, as is each W.
     """
-    return burst_chain(source, channel).memoized("step", _step_cost, n0, source, penalty, cfg)
+    series = burst_chain(source, channel)
+    return series.step_cost(series.table(penalty, cfg), n0)
 
 
-def _step_cost(n0, series, source, penalty, cfg) -> float:
-    w_lo = series.weighted_sum(n0, penalty, cfg)
-    w_hi = series.weighted_sum(n0 + 1, penalty, cfg)
-    return penalty(n0) + (1.0 - source.mu) * w_hi - w_lo
+def _step_cost(n0, series, table) -> float:
+    w_lo = series.weighted(table, n0)
+    w_hi = series.weighted(table, n0 + 1)
+    return table.penalty(n0) + (1.0 - series.source.mu) * w_hi - w_lo
 
 
 def tie_price(n0, sums, source, channel, penalty, cfg: SeriesConfig = SeriesConfig()) -> float:
@@ -364,10 +420,8 @@ def tie_price(n0, sums, source, channel, penalty, cfg: SeriesConfig = SeriesConf
     thresholds' sums, so the price keeps its precision where (1-mu)^n0 is
     small.
     """
-    length, transmissions, cost = sums
-    mu_s = source.mu * burst_chain(source, channel).total
-    step = step_cost(n0, source, channel, penalty, cfg)
-    return (step * length - (1.0 - mu_s) * cost) / (mu_s * length + (1.0 - mu_s) * transmissions)
+    series = burst_chain(source, channel)
+    return series.tie_price(series.table(penalty, cfg), n0, sums)
 
 
 def _threshold_margin(n0, lam, source, channel, penalty, cfg) -> float:
@@ -375,8 +429,8 @@ def _threshold_margin(n0, lam, source, channel, penalty, cfg) -> float:
     written with D: D - lam mu S - (1 - mu S) g.  Positive once n0 is large
     enough."""
     g = g_for_threshold(n0, lam, source, channel, penalty, cfg)
-    mu_s = source.mu * burst_chain(source, channel).total
-    return step_cost(n0, source, channel, penalty, cfg) - lam * mu_s - (1.0 - mu_s) * g
+    series = burst_chain(source, channel)
+    return series.step_cost(series.table(penalty, cfg), n0) - lam * series.mu_s - (1.0 - series.mu_s) * g
 
 
 def least_true(fires, start: int) -> int:

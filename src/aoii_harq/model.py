@@ -38,6 +38,7 @@ BOUNDEDNESS_L_CAP = 1_000_000  # a series not settled by this term is refused
 # head: geometric from 1 to BOUNDEDNESS_L_CAP, 39 distinct
 _PROBES = np.array(sorted({round(BOUNDEDNESS_L_CAP ** (k / 39)) for k in range(40)}), dtype=float)
 SETTLE_CACHE_SIZE = 32  # settle rules kept: a few penalties on each cached chain
+GAMMA_CACHE_SIZE = 32  # gamma pairs kept: the certificate reads r = 0 of each pair it solves
 
 
 @dataclass(frozen=True)
@@ -212,9 +213,12 @@ class GammaPair:
         return 1.0 - self.gamma1 - self.gamma2
 
 
+@lru_cache(maxsize=GAMMA_CACHE_SIZE)
 def gamma(source: SourceModel, channel, r: int) -> GammaPair:
     """Transmit-branch coefficients for transmission count r: entry r of
-    ``gamma_arrays``."""
+    ``gamma_arrays``.  Pure in its arguments and frozen, so the
+    GAMMA_CACHE_SIZE latest are memoized; a kernel out of range raises on
+    every call, since an exception is not cached."""
     g1, g2 = gamma_arrays(source, channel, r + 1)
     return GammaPair(float(g1[r]), float(g2[r]))
 
@@ -317,7 +321,9 @@ def validate_boundedness(source, channel, penalty) -> bool:
     BOUNDEDNESS_TOL.  Returns False, which callers must treat as "refuse to
     solve", when no term settles.  Raises DegenerateKernelError when
     gamma1(0) or gamma2(0) is out of range, so the ratio q below is always
-    under 1.  The solver's series controls play no part.
+    under 1.  The solver's series controls play no part.  Both gamma and the
+    settle rule are memoized, so a repeat certificate forms no transmit law
+    and tests no terms; it is itself not memoized, and reads gamma each call.
     """
     pair = gamma(source, channel, 0)
     q = pair.gamma1 + pair.gamma2

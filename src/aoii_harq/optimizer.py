@@ -21,7 +21,7 @@ from typing import Optional
 import scipy  # noqa: F401  (benchmark workers report the loaded scipy version)
 
 from .errors import BoundednessError, SolverError
-from .lagrangian import SeriesConfig, cycle_sums, g_wait, least_true, optimal_threshold, tie_price
+from .lagrangian import SeriesConfig, burst_chain, g_wait, least_true, optimal_threshold
 from .model import validate_boundedness
 from .rate import achieved_rate, mixed_chain_analysis
 from .sim import FixedThreshold, MixedThreshold, NeverTransmit
@@ -133,11 +133,19 @@ def solve_cmdp(
             diagnostics={"lambda_trace": (), "lambda_iterations": 0},
         )
 
+    # the one chain read of the solve: every sum, tie price and excess below
+    # comes from its table
+    series = burst_chain(source, channel)
+    table = series.table(penalty, cfg)
+
+    def sums(n0: int) -> tuple[float, float, float]:
+        return series.cycle_sums(table, n0)
+
     def tie(n0: int) -> float:
-        return tie_price(n0, cycle_sums(n0, source, channel, penalty, cfg), source, channel, penalty, cfg)
+        return series.tie_price(table, n0, sums(n0))
 
     def rate(n0: int) -> float:
-        length, transmissions, _ = cycle_sums(n0, source, channel, penalty, cfg)
+        length, transmissions, _ = sums(n0)
         return transmissions / length
 
     def diagnostics(**extra) -> dict:
@@ -146,7 +154,7 @@ def solve_cmdp(
     n_zero = optimal_threshold(0.0, source, channel, penalty, cfg)
     trace = [(0.0, n_zero, rate(n_zero))]
     if trace[0][2] <= R:
-        length, _, cost = cycle_sums(n_zero, source, channel, penalty, cfg)
+        length, _, cost = sums(n_zero)
         rate_zero = achieved_rate(n_zero, source, channel, cfg).rate
         return CmdpSolution(
             regime=REGIME_PURE_THRESHOLD,
@@ -178,8 +186,8 @@ def solve_cmdp(
         )
     _check_trace(trace)
     # budget excess e = T - R L of each threshold; the mixture's is linear in rho
-    length_low, transmissions_low, _ = cycle_sums(n_low, source, channel, penalty, cfg)
-    length_high, transmissions_high, _ = cycle_sums(n_high, source, channel, penalty, cfg)
+    length_low, transmissions_low, _ = sums(n_low)
+    length_high, transmissions_high, _ = sums(n_high)
     excess_low = transmissions_low - R * length_low
     excess_high = transmissions_high - R * length_high
     rho_high = excess_low / (excess_low - excess_high)

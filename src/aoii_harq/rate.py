@@ -149,7 +149,8 @@ def mixed_chain_analysis(
         raise ValueError(f"n_low must be >= 1, got {n_low}")
     if not 0.0 <= rho_high <= 1.0:
         raise ValueError(f"rho_high must lie in [0, 1], got {rho_high}")
-    low = cycle_sums(n_low, source, channel, penalty, cfg)
-    high = cycle_sums(n_low + 1, source, channel, penalty, cfg)
+    series = burst_chain(source, channel)
+    table = series.table(penalty, cfg)
+    low, high = series.cycle_sums(table, n_low), series.cycle_sums(table, n_low + 1)
     length, transmissions, cost = (rho_high * h + (1.0 - rho_high) * l for h, l in zip(high, low))
     return transmissions / length, cost / length

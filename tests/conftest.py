@@ -8,14 +8,16 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from aoii_harq import ChannelModel, PenaltySpec, SourceModel
 from aoii_harq.lagrangian import SigmaSeries, burst_chain
-from aoii_harq.model import settling_term
+from aoii_harq.model import gamma, settling_term
 
 
 @pytest.fixture(autouse=True)
 def _cold_caches():
-    """Every test starts with no cached burst chain, chain memo or settle rule."""
+    """Every test starts with no cached burst chain, chain table, settle rule
+    or gamma pair."""
     burst_chain.cache_clear()
     settling_term.cache_clear()
+    gamma.cache_clear()
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from aoii_harq import model
 from aoii_harq import (
     ChannelModel,
     DegenerateKernelError,
@@ -185,6 +186,21 @@ class TestGamma:
             GammaPair(-0.1, 0.5)
         with pytest.raises(ValueError):
             GammaPair(0.6, 0.5)
+
+    def test_memoized_pair_forms_the_law_once(self, monkeypatch):
+        real, laws = model.transmit_law, []
+        monkeypatch.setattr(model, "transmit_law", lambda *args: laws.append(args) or real(*args))
+        source, channel = SourceModel(0.5, 1 / 30), ChannelModel(p_e=0.5, c=0.5)
+        assert gamma(source, channel, 1) is gamma(SourceModel(0.5, 1 / 30), ChannelModel(p_e=0.5, c=0.5), 1)
+        assert len(laws) == 1
+
+    def test_degenerate_kernel_raises_on_every_call(self):
+        # 1 - alpha - mu*q rounds to 1.0; an exception is not memoized
+        source, channel = SourceModel(alpha=1e-17, mu=1e-18), ChannelModel(p_e=0.5, c=0.5)
+        for _ in range(3):
+            with pytest.raises(DegenerateKernelError, match="r=0"):
+                gamma(source, channel, 0)
+        assert gamma.cache_info().currsize == 0
 
 
 class _FixedLaw:

@@ -1,5 +1,7 @@
+import gc
 import math
 import time
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -132,24 +134,26 @@ class TestSolveCmdp:
         # n_low at lambda*, so their tie price rises past lambda*; above:
         # shrinking D of n_high makes n_high + 1 cheaper than n_high at
         # lambda*, so their tie price falls below it.  lambda* itself reads
-        # neither
+        # neither.  The solve reads both from its chain's table, so the
+        # computations behind the table are broken and the table starts cold
         sol = solve_cmdp(0.2, paper_source, paper_channel, linear_penalty)
         assert sol.regime == REGIME_MIXED and sol.n_low > 1
         if side == "below":
-            real = optimizer.cycle_sums
+            real = lagrangian._cycle_sums
 
             def cheaper(n0, *args, **kwargs):
                 length, transmissions, cost = real(n0, *args, **kwargs)
                 return length, transmissions, cost * (0.5 if n0 == sol.n_low - 1 else 1.0)
 
-            monkeypatch.setattr(optimizer, "cycle_sums", cheaper)
+            monkeypatch.setattr(lagrangian, "_cycle_sums", cheaper)
         else:
-            real = lagrangian.step_cost
+            real = lagrangian._step_cost
 
             def cheaper(n0, *args, **kwargs):
                 return real(n0, *args, **kwargs) * (0.5 if n0 == sol.n_high else 1.0)
 
-            monkeypatch.setattr(lagrangian, "step_cost", cheaper)
+            monkeypatch.setattr(lagrangian, "_step_cost", cheaper)
+        clear_caches()
         with pytest.raises(SolverError, match="certificate"):
             solve_cmdp(0.2, paper_source, paper_channel, linear_penalty)
 
@@ -220,6 +224,7 @@ def figure_model(name):
 def clear_caches():
     lagrangian.burst_chain.cache_clear()
     model.settling_term.cache_clear()
+    model.gamma.cache_clear()
 
 
 class TestChainCache:
@@ -252,13 +257,78 @@ class TestChainCache:
         info = lagrangian.burst_chain.cache_info()
         assert (info.misses, info.currsize, info.maxsize) == (size + 3, size, size)
 
+    def test_an_evicted_chain_is_freed(self, paper_source, paper_channel, linear_penalty):
+        # the tables hold no reference back to their chain, so eviction frees
+        # a chain, its walk and its tables without the cycle collector
+        assert solve_cmdp(0.2, paper_source, paper_channel, PenaltySpec.power(1.5)).regime == REGIME_MIXED
+        chain = weakref.ref(lagrangian.burst_chain(paper_source, paper_channel))
+        gc.disable()
+        try:
+            for alpha in np.linspace(0.3, 0.9, lagrangian.CHAIN_CACHE_SIZE):
+                solve_cmdp(0.2, SourceModel.from_states(float(alpha), 16), paper_channel, linear_penalty)
+            assert chain() is None
+        finally:
+            gc.enable()
+
     def test_memo_keeps_its_bound(self, monkeypatch, paper_source, paper_channel, linear_penalty):
+        # one bound over all the tables of a chain, W entries included
         monkeypatch.setattr(lagrangian, "MEMO_SIZE", 16)
-        first = [lagrangian.cycle_sums(n0, paper_source, paper_channel, linear_penalty) for n0 in range(1, 41)]
-        memo = lagrangian.burst_chain(paper_source, paper_channel).memo
-        assert 0 < len(memo) <= 16
-        assert [lagrangian.cycle_sums(n0, paper_source, paper_channel, linear_penalty) for n0 in range(1, 41)] == first
-        assert len(memo) <= 16
+        chain = lagrangian.burst_chain(paper_source, paper_channel)
+        penalties = (linear_penalty, PenaltySpec.power(1.5))
+
+        def read():
+            return [(lagrangian.cycle_sums(n0, paper_source, paper_channel, penalty),
+                     lagrangian.step_cost(n0, paper_source, paper_channel, penalty))
+                    for n0 in range(1, 41) for penalty in penalties]
+
+        def held():
+            return [quantity for table in chain.tables.values() for quantity, _ in table]
+
+        first = read()
+        assert 0 < len(held()) <= 16 and "W" in held()
+        assert read() == first
+        assert len(held()) <= 16
+
+    @pytest.mark.parametrize("penalty", [PenaltySpec.power(1.5), PenaltySpec.power(2.0), PENALTIES["table"]],
+                             ids=["power1.5", "power2", "table"])
+    def test_cold_solve_sums_each_w_once(self, monkeypatch, paper_source, paper_channel, penalty):
+        # the cycle sums of n0 and the step costs of n0 - 1 and n0 share W(n0);
+        # the rate analyses read the linear penalty's
+        real, deltas = lagrangian.SigmaSeries.weighted_sum, []
+
+        def counted(self, delta0, weights, *args):
+            if weights == penalty:
+                deltas.append(delta0)
+            return real(self, delta0, weights, *args)
+
+        monkeypatch.setattr(lagrangian.SigmaSeries, "weighted_sum", counted)
+        assert solve_cmdp(0.2, paper_source, paper_channel, penalty).regime == REGIME_MIXED
+        assert deltas and len(deltas) == len(set(deltas))
+
+    @pytest.mark.parametrize("alpha, budget, regime", [
+        (0.01, 0.2, REGIME_NEVER_TRANSMIT), (0.5, 1.0, REGIME_PURE_THRESHOLD), (0.5, 0.2, REGIME_MIXED),
+    ])
+    def test_warm_certificate_forms_no_transmit_law(
+        self, monkeypatch, paper_channel, linear_penalty, alpha, budget, regime
+    ):
+        # the certificate still reads gamma by name once per solve, from its memo
+        source = SourceModel.from_states(alpha, 16)
+        assert solve_cmdp(budget, source, paper_channel, linear_penalty).regime == regime
+        laws, pairs = [], []
+        real_law, real_gamma = model.transmit_law, model.gamma
+        monkeypatch.setattr(model, "transmit_law", lambda *args: laws.append(args) or real_law(*args))
+        monkeypatch.setattr(model, "gamma", lambda *args: pairs.append(args) or real_gamma(*args))
+        assert solve_cmdp(budget, source, paper_channel, linear_penalty).regime == regime
+        assert laws == [] and len(pairs) == 1
+
+    def test_warm_mixed_solve_reads_few_chains(self, paper_source, paper_channel, linear_penalty):
+        # the solve reads its chain once; the search, the rate analyses and
+        # the mixture read it by name; 51 reads before the tables
+        assert solve_cmdp(0.2, paper_source, paper_channel, linear_penalty).regime == REGIME_MIXED
+        before = lagrangian.burst_chain.cache_info()
+        assert solve_cmdp(0.2, paper_source, paper_channel, linear_penalty).regime == REGIME_MIXED
+        after = lagrangian.burst_chain.cache_info()
+        assert after.misses == before.misses and after.hits - before.hits <= 8
 
     @pytest.mark.parametrize("penalty", PENALTIES.values(), ids=PENALTIES.keys())
     @pytest.mark.parametrize("alpha, budget, regime", [
