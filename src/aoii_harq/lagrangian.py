@@ -87,8 +87,10 @@ class SigmaSeries:
     penalty-weighted cut of W(delta0) = sum_l f(delta0 + l) sigma_l, which it
     sums.  The walked terms live in float64 buffers that double in size as
     the walk grows; queries read views of them, never copies.  table gives
-    the memo of one (penalty, cut), read and filled by cycle_sums, step_cost,
-    tie_price and weighted.  mu_s is mu S, for S = sum_l sigma_l.
+    the memo of one (penalty, cut), read and filled by weighted, cycle_sums
+    and step_cost; tie_price, the one comparison of adjacent thresholds,
+    reads n0's cycle sums and step cost from it.  mu_s is mu S, for
+    S = sum_l sigma_l.
     """
 
     def __init__(self, source, channel):
@@ -164,12 +166,28 @@ class SigmaSeries:
         return self._read(table, "sums", _cycle_sums, n0)
 
     def step_cost(self, table: "ChainTable", n0: int) -> float:
-        """The module's ``step_cost`` of n0, on table."""
+        """D = f(n0) + (1-mu) W(n0+1) - W(n0), with W(d) = sum_l f(d+l) sigma_l,
+        on table.
+
+        Moving the threshold from n0 to n0 + 1 changes the cycle sums (L, T, C)
+        by exactly P (1 - mu S, -mu S, D), with P = (1-mu)^(n0-1) and
+        S = sum_l sigma_l: one more waiting slot, at penalty f(n0), before the
+        burst starts one age later.
+        """
         return self._read(table, "step", _step_cost, n0)
 
-    def tie_price(self, table: "ChainTable", n0: int, sums) -> float:
-        """The module's ``tie_price`` of n0 and its sums, on table."""
-        length, transmissions, cost = sums
+    def tie_price(self, table: "ChainTable", n0: int) -> float:
+        """Price at which thresholds n0 and n0 + 1 cost the same, from n0's
+        cycle sums (L, T, C) and step cost D on table:
+
+            (D L - (1 - mu S) C) / (mu S L + (1 - mu S) T)
+
+        The denominator is positive since L > T.  Nothing subtracts two
+        thresholds' sums, so the price keeps its precision where (1-mu)^n0 is
+        small.  This is the one comparison of n0 with n0 + 1: the threshold
+        search and the solve's certificate both read it.
+        """
+        length, transmissions, cost = self.cycle_sums(table, n0)
         mu_s = self.mu_s
         step = self.step_cost(table, n0)
         return (step * length - (1.0 - mu_s) * cost) / (mu_s * length + (1.0 - mu_s) * transmissions)
@@ -365,14 +383,15 @@ def value_at(
     """Relative value V(delta, 0) of the threshold-n0 policy, anchored at V(0,0)=0.
 
     For delta >= n0 the transmit-burst series applies:
-        V(delta,0) = sum_l (f(delta+l) + lam - g) sigma_l;
+        V(delta,0) = sum_l (f(delta+l) + lam - g) sigma_l,
+    with W(delta) = sum_l f(delta+l) sigma_l read from the chain's table;
     below the threshold, waiting unrolls geometrically into V(n0, 0).
     """
     if delta < 1:
         raise ValueError("V is anchored at V(0,0) = 0; query delta >= 1")
     if delta >= n0:
         series = burst_chain(source, channel)
-        return series.weighted_sum(delta, penalty, cfg) + (lam - g) * series.total
+        return series.weighted(series.table(penalty, cfg), delta) + (lam - g) * series.total
     mu = source.mu
     omm = 1.0 - mu
     k = n0 - delta
@@ -383,54 +402,10 @@ def value_at(
     return head + omm**k * v_n0
 
 
-def step_cost(
-    n0: int,
-    source,
-    channel,
-    penalty,
-    cfg: SeriesConfig = SeriesConfig(),
-) -> float:
-    """D = f(n0) + (1-mu) W(n0+1) - W(n0), with W(d) = sum_l f(d+l) sigma_l.
-
-    Moving the threshold from n0 to n0 + 1 changes the cycle sums (L, T, C)
-    by exactly P (1 - mu S, -mu S, D), with P = (1-mu)^(n0-1) and
-    S = sum_l sigma_l: one more waiting slot, at penalty f(n0), before the
-    burst starts one age later.  D is the one comparison of n0 with n0 + 1
-    that both the threshold search and the solve's tie prices read.
-    Memoized on the chain's table, as is each W.
-    """
-    series = burst_chain(source, channel)
-    return series.step_cost(series.table(penalty, cfg), n0)
-
-
 def _step_cost(n0, series, table) -> float:
     w_lo = series.weighted(table, n0)
     w_hi = series.weighted(table, n0 + 1)
     return table.penalty(n0) + (1.0 - series.source.mu) * w_hi - w_lo
-
-
-def tie_price(n0, sums, source, channel, penalty, cfg: SeriesConfig = SeriesConfig()) -> float:
-    """Price at which thresholds n0 and n0 + 1 cost the same, from n0's cycle
-    sums (L, T, C) and ``step_cost`` D:
-
-        (D L - (1 - mu S) C) / (mu S L + (1 - mu S) T)
-
-    The denominator is positive since L > T, and the search margin at price
-    lam equals (denominator / L) (tie - lam).  Nothing subtracts two
-    thresholds' sums, so the price keeps its precision where (1-mu)^n0 is
-    small.
-    """
-    series = burst_chain(source, channel)
-    return series.tie_price(series.table(penalty, cfg), n0, sums)
-
-
-def _threshold_margin(n0, lam, source, channel, penalty, cfg) -> float:
-    """LHS of the optimality condition, (1-mu) V(n0+1) - V(n0) + f(n0) - g,
-    written with D: D - lam mu S - (1 - mu S) g.  Positive once n0 is large
-    enough."""
-    g = g_for_threshold(n0, lam, source, channel, penalty, cfg)
-    series = burst_chain(source, channel)
-    return series.step_cost(series.table(penalty, cfg), n0) - lam * series.mu_s - (1.0 - series.mu_s) * g
 
 
 def least_true(fires, start: int) -> int:
@@ -439,10 +414,12 @@ def least_true(fires, start: int) -> int:
 
     Probes start + 1, start + 2, start + 4, ... (the last probe capped at
     N0_CEILING) until one fires, then bisects the integers between the last
-    two probes.
+    two probes.  Nothing past N0_CEILING is probed or returned:
+    ThresholdSearchError is raised when no n up to it fires, or start has
+    reached it.
     """
     lo, hi = start, start + 1
-    while not fires(hi):
+    while hi > N0_CEILING or not fires(hi):
         if hi >= N0_CEILING:
             raise ThresholdSearchError(
                 f"no threshold up to n0={N0_CEILING} satisfies the search condition; "
@@ -468,13 +445,23 @@ def optimal_threshold(
     """Least n0 >= 1 whose margin is strictly positive, or None (never transmit).
 
     For mu >= alpha transmission cannot beat waiting and None is returned.
-    Otherwise the margin is nondecreasing in n0, so the least positive point
-    is located by least_true.
+    Otherwise the search reads its chain's table once, and compares lam with
+    each probed n0's tie price: the margin of the optimality condition,
+    (1-mu) V(n0+1) - V(n0) + f(n0) - g, is (tie - lam) (mu S + (1 - mu S) T/L)
+    from n0's cycle sums (L, T, C).  The margin is nondecreasing in n0, so
+    the least positive point is located by least_true.
     """
     if source.mu >= source.alpha:
         return None
+    if lam < 0.0:
+        raise ValueError(f"multiplier must be nonnegative, got {lam}")
+    series = burst_chain(source, channel)
+    table = series.table(penalty, cfg)
+    mu_s = series.mu_s
+
     def fires(n0: int) -> bool:
-        return _threshold_margin(n0, lam, source, channel, penalty, cfg) > _TIE_TOL
+        length, transmissions, _ = series.cycle_sums(table, n0)
+        return (series.tie_price(table, n0) - lam) * (mu_s + (1.0 - mu_s) * transmissions / length) > _TIE_TOL
 
     return least_true(fires, 0)
 

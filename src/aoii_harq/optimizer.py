@@ -21,7 +21,7 @@ from typing import Optional
 import scipy  # noqa: F401  (benchmark workers report the loaded scipy version)
 
 from .errors import BoundednessError, SolverError
-from .lagrangian import SeriesConfig, burst_chain, g_wait, least_true, optimal_threshold
+from .lagrangian import SeriesConfig, burst_chain, g_for_threshold, g_wait, least_true, optimal_threshold
 from .model import validate_boundedness
 from .rate import achieved_rate, mixed_chain_analysis
 from .sim import FixedThreshold, MixedThreshold, NeverTransmit
@@ -105,7 +105,7 @@ def solve_cmdp(
     the predicted rate minus R.
     diagnostics["lambda_trace"] holds one (lambda, n0, rate) entry per
     threshold evaluated, lambda being the price at which n0 ties with n0 + 1
-    (0 for the unconstrained threshold), from ``tie_price``.
+    (0 for the unconstrained threshold), from ``SigmaSeries.tie_price``.
     """
     if not 0.0 < R <= 1.0:
         raise ValueError(f"rate budget must lie in (0, 1], got {R}")
@@ -134,7 +134,7 @@ def solve_cmdp(
         )
 
     # the one chain read of the solve: every sum, tie price and excess below
-    # comes from its table
+    # comes from its table; a pure solve's g_for_threshold reads the same entry
     series = burst_chain(source, channel)
     table = series.table(penalty, cfg)
 
@@ -142,7 +142,7 @@ def solve_cmdp(
         return series.cycle_sums(table, n0)
 
     def tie(n0: int) -> float:
-        return series.tie_price(table, n0, sums(n0))
+        return series.tie_price(table, n0)
 
     def rate(n0: int) -> float:
         length, transmissions, _ = sums(n0)
@@ -154,7 +154,6 @@ def solve_cmdp(
     n_zero = optimal_threshold(0.0, source, channel, penalty, cfg)
     trace = [(0.0, n_zero, rate(n_zero))]
     if trace[0][2] <= R:
-        length, _, cost = sums(n_zero)
         rate_zero = achieved_rate(n_zero, source, channel, cfg).rate
         return CmdpSolution(
             regime=REGIME_PURE_THRESHOLD,
@@ -165,7 +164,7 @@ def solve_cmdp(
             rate_high=rate_zero,
             rate_low=None,
             predicted_rate=rate_zero,
-            predicted_aoii=cost / length,
+            predicted_aoii=g_for_threshold(n_zero, 0.0, source, channel, penalty, cfg),
             diagnostics=diagnostics(),
         )
 

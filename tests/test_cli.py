@@ -401,32 +401,10 @@ class TestResolvedConfig:
 
 class TestGoldenOutputs:
     # outputs recorded at --seed 5; a change in the solver's float sums or in
-    # the simulator's random stream shows here as a changed byte
-    CASES = [
-        ("sweep_example.csv", "sweep", "configs/example.json", []),
-        ("validate_example.json", "validate", "configs/example.json", []),
-        ("solve_waiting_source.txt", "solve", "configs/waiting_source.json", []),
-        ("simulate_waiting_source.txt", "simulate", "configs/waiting_source.json", ["--reps", "2"]),
-        ("wait-aoii_waiting_source.txt", "wait-aoii", "configs/waiting_source.json", []),
-        # the mu >= alpha branch of validate: rvi-all-wait and gwait-cross-oracle
-        ("validate_waiting_source.json", "validate", "configs/waiting_source.json", []),
-        # R = 0.2 is a mixed solve on the paper config
-        ("solve_paper_r0.2.txt", "solve", "tests/golden/paper_r0.2.json", []),
-        ("simulate_paper_r0.2.txt", "simulate", "tests/golden/paper_r0.2.json", ["--reps", "2"]),
-        ("wait-aoii_paper_r0.2.txt", "wait-aoii", "tests/golden/paper_r0.2.json", []),
-        # d**32: certificate terms peak near 1e50.7, finite, so the solve is certified
-        ("solve_paper_power32.txt", "solve", "tests/golden/paper_power32.json", []),
-        # a table penalty and d**1.5: weighted cuts past the epsilon cut
-        ("solve_paper_table.txt", "solve", "tests/golden/paper_table.json", []),
-        ("solve_paper_power1.5.txt", "solve", "tests/golden/paper_power1.5.json", []),
-        # d**1.5 over a budget grid: one process solves the paper chain five times
-        ("sweep_paper_power1.5.csv", "sweep", "tests/golden/sweep_paper_power1.5.json", []),
-        # d**2 on the waiting source: the waiting cost sums to a settled probe
-        ("wait-aoii_waiting_source_power2.txt", "wait-aoii", "tests/golden/waiting_source_power2.json", []),
-        ("solve_waiting_source_power2.txt", "solve", "tests/golden/waiting_source_power2.json", []),
-        # R = 1e-13: the mixed pair is 545 and 546, where (1-mu)^n0 is 1.1e-13
-        ("solve_edge_r1e-13.txt", "solve", "tests/golden/edge_r1e-13.json", []),
-    ]
+    # the simulator's random stream shows here as a changed byte.  CI runs
+    # the installed console script over the same manifest
+    CASES = [(case["golden"], case["command"], case["config"], case["flags"])
+             for case in json.loads((GOLDEN / "cases.json").read_text())]
 
     @pytest.mark.parametrize("golden, command, config, flags", CASES, ids=[case[0] for case in CASES])
     def test_output_matches_golden_file(self, tmp_path, golden, command, config, flags):

@@ -327,6 +327,10 @@ class TestOptimalThreshold:
         assert optimal_threshold(0.0, source, channel, linear_penalty) is None
         assert optimal_threshold(7.0, source, channel, linear_penalty) is None
 
+    def test_negative_price_rejected(self, paper_source, paper_channel, linear_penalty):
+        with pytest.raises(ValueError, match="nonnegative"):
+            optimal_threshold(-1.0, paper_source, paper_channel, linear_penalty)
+
     def test_matches_value_iteration_example(self, linear_penalty):
         source = SourceModel(0.9, 0.1)
         channel = ChannelModel(p_e=0.3, c=1.0)
@@ -361,20 +365,72 @@ class TestOptimalThreshold:
                                          PenaltySpec.from_table([0, 1, 3, 4, 6])], ids=["linear", "power1.5", "table"])
     @pytest.mark.parametrize("kwargs", CHANNELS.values(), ids=CHANNELS.keys())
     def test_margin_matches_the_value_function_form(self, kwargs, penalty):
-        # the search's margin, D - lam mu S - (1 - mu S) g, is the value
-        # function's (1-mu) V(n0+1) - V(n0) + f(n0) - g rearranged
+        # the search's margin, (tie - lam) (mu S + (1 - mu S) T/L), is the
+        # value function's (1-mu) V(n0+1) - V(n0) + f(n0) - g rearranged
         source, channel = SourceModel(alpha=0.5, mu=1 / 30), ChannelModel(**kwargs)
+        chain = burst_chain(source, channel)
+        table = chain.table(penalty, SeriesConfig())
         for lam in (0.0, 1.0, 5.0, 100.0):
             for n0 in range(1, 41):
-                fast = lagrangian._threshold_margin(n0, lam, source, channel, penalty, SeriesConfig())
+                length, transmissions, _ = chain.cycle_sums(table, n0)
+                fast = (chain.tie_price(table, n0) - lam) * (chain.mu_s + (1.0 - chain.mu_s) * transmissions / length)
                 slow = threshold_margin(n0, lam, source, channel, penalty)
                 assert fast == pytest.approx(slow, rel=1e-9, abs=1e-12)
                 assert np.sign(fast) == np.sign(slow) or abs(slow) <= 1e-12
+
+    @pytest.mark.parametrize("penalty", [PenaltySpec.linear(), PenaltySpec.power(1.5),
+                                         PenaltySpec.from_table([0, 1, 3, 4, 6])], ids=["linear", "power1.5", "table"])
+    def test_near_tie_prices_keep_the_margin_form_thresholds(self, penalty):
+        # at and next to lam = tie(n) the search returns what the margin
+        # D - lam mu S - (1 - mu S) g returns: its tolerance breaks a tie
+        # toward waiting, so lam = tie(n) (1 - 1e-13) still gives n + 1
+        source, cfg = SourceModel(alpha=0.5, mu=1 / 30), SeriesConfig()
+        for kwargs in [*CHANNELS.values(), dict(p_e=0.2, c=0.8, r_max=4)]:
+            channel = ChannelModel(**kwargs)
+            chain = burst_chain(source, channel)
+            table = chain.table(penalty, cfg)
+
+            def margin_form(lam):
+                def fires(n0):
+                    g = g_for_threshold(n0, lam, source, channel, penalty)
+                    return chain.step_cost(table, n0) - lam * chain.mu_s - (1.0 - chain.mu_s) * g > lagrangian._TIE_TOL
+                return lagrangian.least_true(fires, 0)
+
+            for n in range(1, 40):
+                tie = chain.tie_price(table, n)
+                for lam in (tie, np.nextafter(tie, -np.inf), np.nextafter(tie, np.inf), tie * (1 - 1e-13),
+                            tie * (1 + 1e-13)):
+                    assert optimal_threshold(lam, source, channel, penalty) == margin_form(lam)
+                if n <= 3:  # here 1e-13 tie times the scale stays below _TIE_TOL
+                    assert optimal_threshold(tie * (1 - 1e-13), source, channel, penalty) == n + 1
+
+    def test_search_reads_its_chain_once(self, paper_source, paper_channel, linear_penalty):
+        # the probes read the table the search fetched; 8 chain reads when
+        # each margin looked the chain up itself and again through g
+        assert optimal_threshold(5.0, paper_source, paper_channel, linear_penalty) > 1
+        before = burst_chain.cache_info()
+        assert optimal_threshold(5.0, paper_source, paper_channel, linear_penalty) > 1
+        after = burst_chain.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
 
     def test_ceiling_reported(self, monkeypatch, paper_source, paper_channel, linear_penalty):
         monkeypatch.setattr(lagrangian, "N0_CEILING", 16)
         with pytest.raises(ThresholdSearchError):
             optimal_threshold(1e9, paper_source, paper_channel, linear_penalty)
+
+    def test_search_never_passes_the_ceiling(self, monkeypatch):
+        monkeypatch.setattr(lagrangian, "N0_CEILING", 16)
+        probes = []
+
+        def fires(n):
+            probes.append(n)
+            return True
+
+        assert lagrangian.least_true(fires, 15) == 16
+        for start in (16, 17):
+            with pytest.raises(ThresholdSearchError):
+                lagrangian.least_true(fires, start)
+        assert probes == [16]
 
 
 class TestGWait:
